@@ -134,14 +134,14 @@ type irpn =
 
 (* Destination of a fused int-RPN store: the member slot resolves fully
    before any rhs leaf is read, exactly as the unfused sequence did.
-   [DTickLocField] carries the statement tick ([ITickLocFieldI]);
-   [DFieldIdx] is the [ILoadFieldIndexI; ILocFieldI] pair (tickless —
-   the statement tick was already folded upstream). *)
+   [DLocField] is [ILoadLocFieldI], [DFieldIdx] the
+   [ILoadFieldIndexI; ILocFieldI] pair, [DFieldLocField] the
+   [ILoadField; ILocFieldI] pair. *)
 type rdst =
-  | DTickLocField of int * slots_by_class * Member.t
+  | DLocField of int * slots_by_class * Member.t
   | DFieldIdx of
       int * slots_by_class * Member.t * int * slots_by_class * Member.t
-  | DTickFieldLocField of
+  | DFieldLocField of
       int * slots_by_class * Member.t * slots_by_class * Member.t
 
 (* -- instruction set ----------------------------------------------------------
@@ -151,7 +151,16 @@ type rdst =
    [VPtr (PArr (h, i))] for a slot of a backing array. Reading/writing
    through them is exactly [Value.read_loc]/[write_loc]; [ILocToPtr]
    applies the [arr_id = -1] re-wrap of [Value.ptr_of_loc] when a
-   location escapes as a user-visible pointer. *)
+   location escapes as a user-visible pointer.
+
+   Statement ticks are not instructions. Every slot of a body carries a
+   pre-tick count ([b_ticks], parallel to [b_code]) that the dispatch
+   loop adds before it runs the slot, so each tick fires exactly where
+   the statement entry put it: before the statement's first
+   instruction, on every path that reaches that instruction. [ITick]
+   remains only as a slot with no effect of its own that carries ticks
+   a jump label separated from their instruction (jumpers to the label
+   must not run them). *)
 
 type instr =
   (* pushes *)
@@ -201,7 +210,7 @@ type instr =
   | IJumpCmpFalse of Ast.binop * int  (* fused compare-and-branch *)
   | IAndFalse of int      (* &&: pop; falsy -> push 0 and jump *)
   | IOrTrue of int        (* ||: pop; truthy -> push 1 and jump *)
-  | ITick
+  | ITick                 (* no effect: carries label-separated ticks *)
   | IPushScope of int array
   | IPopScope
   | IExitScopes of int    (* break/continue leaving n destroy scopes *)
@@ -263,13 +272,11 @@ type instr =
   (* superinstructions: adjacent pairs fused at emit time (see [fuse]).
      Each is exactly the sequence of its parts — same evaluation order,
      same errors — in one dispatch. The dynamic pair profile over the
-     benchmark suite drove the selection: local.field reads, statement
-     ticks glued to their first load, compare-and-branch against a
-     constant or local, and the store/increment-then-back-edge of for
-     loops together cover over half of all executed pairs. *)
+     benchmark suite drove the selection: local.field reads,
+     compare-and-branch against a constant or local, and the
+     store/increment-then-back-edge of for loops together cover over
+     half of all executed pairs. *)
   | ILoadField of int * slots_by_class * Member.t     (* ILoad; IField *)
-  | ITickLoad of int                                  (* ITick; ILoad *)
-  | ITickLoadField of int * slots_by_class * Member.t
   | IThisField of slots_by_class * Member.t           (* IThis; IField *)
   | IIndexField of slots_by_class * Member.t          (* IIndex; IField *)
   | ILoadLocField of int * slots_by_class * Member.t  (* ILoad; ILocField *)
@@ -277,27 +284,17 @@ type instr =
   | IFieldBinop of slots_by_class * Member.t * Ast.binop
   | ILoadFieldBinop of int * slots_by_class * Member.t * Ast.binop
   | IBinopConst of Ast.binop * value                  (* IConst; IBinop *)
-  | ITickN of int                                     (* n adjacent ITicks *)
-  | ITickPushScope of int array
   | IAssignPop of Ast.type_expr                       (* IAssign; IPop *)
-  | IStoreLocalPopT of int * Ast.type_expr            (* store; next stmt's tick *)
   | IStoreLocalPopJump of int * Ast.type_expr * int   (* store; back edge *)
   | IIncDecLocalJump of Ast.incdec * int * int        (* step; back edge *)
-  (* branch variants; the T forms run the fall-through statement's tick *)
-  | IJumpIfFalseT of int
-  | IJumpCmpFalseT of Ast.binop * int
+  (* branch variants *)
   | IJumpCmpConstFalse of Ast.binop * value * int
-  | IJumpCmpConstFalseT of Ast.binop * value * int
   | IJumpLocCmpConstFalse of int * Ast.binop * value * int
-  | IJumpLocCmpConstFalseT of int * Ast.binop * value * int
   | IJumpLocCmpFalse of Ast.binop * int * int     (* top CMP local *)
-  | IJumpLocCmpFalseT of Ast.binop * int * int
   | IJumpLoc2CmpFalse of Ast.binop * int * int * int  (* local CMP local *)
-  | IJumpLoc2CmpFalseT of Ast.binop * int * int * int
   (* the pointer-chase loop body [p = p->f;] in one or two dispatches *)
-  | ITickLoadFieldStore of
-      int * slots_by_class * Member.t * int * Ast.type_expr
-  | ITickLoadFieldStoreJump of
+  | ILoadFieldStore of int * slots_by_class * Member.t * int * Ast.type_expr
+  | ILoadFieldStoreJump of
       int * slots_by_class * Member.t * int * Ast.type_expr * int
   (* round 3: cascade fusion re-fuses a fusion product with its own
      predecessor, so whole expression chains ([o.f[i*k+j].g], the
@@ -312,31 +309,26 @@ type instr =
   | ILoadFieldBinop2 of
       int * slots_by_class * Member.t * Ast.binop * Ast.binop
   | IBinopAssignPop of Ast.binop * Ast.type_expr      (* IBinop; IAssignPop *)
-  | ITickThisField of slots_by_class * Member.t
-  | ILoad2FieldBinop of int * int * slots_by_class * Member.t * Ast.binop
   | ILoadLoadField of int * int * slots_by_class * Member.t
   | ILocFieldLoadField of
       slots_by_class * Member.t * int * slots_by_class * Member.t
+  (* [local = v; <tick> push local'.f] — a store, the next statement's
+     tick, and that statement's first read *)
   | IStoreTLoadField of int * Ast.type_expr * int * slots_by_class * Member.t
-  | ITickLoadFieldIndex of int * slots_by_class * Member.t * int
-  | ITLFIndexStoreT of
+  | ILoadFieldIndex of int * slots_by_class * Member.t * int
+  | ILoadFieldIndexStore of
       int * slots_by_class * Member.t * int * int * Ast.type_expr
-  | ITickLoadFieldCmpLocFalse of
-      int * slots_by_class * Member.t * Ast.binop * int * int
-  | ITickLoadFieldCmpLocFalseT of
+  | ILoadFieldCmpLocFalse of
       int * slots_by_class * Member.t * Ast.binop * int * int
   | IBinopConstAndFalse of Ast.binop * value * int
-  | IJumpIfFalseTPushScope of int * int array
   | ILoadFieldBinopJumpFalse of
       int * slots_by_class * Member.t * Ast.binop * int
-  | ILoadFieldBinopJumpFalseT of
-      int * slots_by_class * Member.t * Ast.binop * int
-  | IJumpBCCmpFalse of Ast.binop * value * Ast.binop * bool * int
-      (* the bool folds the fall-through tick (the former ...T form) *)
+  | IJumpBCCmpFalse of Ast.binop * value * Ast.binop * int
   (* a scan loop's hot cycle [guard-branch -> p = p->f -> back edge]
      with the step on the branch's false edge: [finish]'s branch-target
-     peephole inlines the step into the false arm; the step's own slot
-     stays in place for the fall-in path *)
+     peephole inlines the step (and its one statement tick) into the
+     false arm; the step's own slot stays in place for the fall-in
+     path *)
   | IScanStep of
       int * slots_by_class * Member.t * Ast.binop * int
       * int * slots_by_class * Member.t * int * Ast.type_expr * int
@@ -354,30 +346,23 @@ type instr =
   | IFieldBinop2AssignPop of
       int * slots_by_class * Member.t * Ast.binop * Ast.binop * Ast.type_expr
   | IBinop2AssignPop of Ast.binop * Ast.binop * Ast.type_expr
-  | IConstFieldBinop2 of
-      value * int * slots_by_class * Member.t * Ast.binop * Ast.binop
   | ILoadLocFieldLoadField of
       int * slots_by_class * Member.t * int * slots_by_class * Member.t
   | ILoadFieldBCAndFalse of
       int * slots_by_class * Member.t * Ast.binop * value * int
   | IJumpLocFCmpFalse of
       int * int * slots_by_class * Member.t * Ast.binop * int
-  | IJumpLocFCmpFalseT of
-      int * int * slots_by_class * Member.t * Ast.binop * int
   | IJumpLL2FBCCmpFalse of
-      int * int * slots_by_class * Member.t * Ast.binop * value * Ast.binop
-      * int
-  | IJumpLL2FBCCmpFalseT of
       int * int * slots_by_class * Member.t * Ast.binop * value * Ast.binop
       * int
   (* -- typed (untagged) instructions -----------------------------------
      These run on the per-invocation int/float operand stacks instead of
      the boxed one: zero allocation and no tag dispatch on int/float hot
      paths. Each arm is the exact image of its generic counterpart —
-     same evaluation order, tick points, coercions and error strings —
-     with the tag test resolved at compile time by the resolve pass's
-     bank classification. Suffix conventions: [..I]/[..F] name the stack
-     an instruction's operands live on; [..IB]/[..FB]/[..B] are bridge
+     same evaluation order, coercions and error strings — with the tag
+     test resolved at compile time by the resolve pass's bank
+     classification. Suffix conventions: [..I]/[..F] name the stack an
+     instruction's operands live on; [..IB]/[..FB]/[..B] are bridge
      forms whose rhs stays boxed (polymorphic) but whose destination is
      an unboxed bank slot. *)
   (* pushes / reads *)
@@ -396,9 +381,7 @@ type instr =
   | IPopI
   | IPopF
   | ILoadIB of int        (* ILoadI; IBoxI *)
-  | ILoadFB of int
   | ILoadFieldIB of int * slots_by_class * Member.t
-  | ILoadFieldFB of int * slots_by_class * Member.t
   | ICastFI               (* float stack -> int stack (int_of_float) *)
   | ICastIF               (* int stack -> float stack (float_of_int) *)
   (* pure typed operators *)
@@ -463,29 +446,21 @@ type instr =
   | IInitFieldScalarF of slots_by_class * Member.t
   | IInitFieldScalarB of slots_by_class * Member.t * Ast.type_expr * bank
   (* typed control *)
-  | IJumpIfFalseI of bool * int
+  | IJumpIfFalseI of int
   | IJumpIfTrueI of int
-  | IJumpIfFalseF of bool * int
+  | IJumpIfFalseF of int
   | IJumpIfTrueF of int
   | IAndFalseI of int
   | IOrTrueI of int
-  | IJumpCmpFalseI of Ast.binop * bool * int
-  (* in every branch form below, a [bool] right before the target folds
-     the fall-through tick (the former ...T / ...TI twin constructor) *)
-  | IJumpCmpConstFalseI of Ast.binop * int * bool * int
-  | IJumpLocCmpConstFalseI of int * Ast.binop * int * bool * int
-  | IJumpLocCmpFalseI of Ast.binop * int * bool * int
-  | IJumpLoc2CmpFalseI of Ast.binop * int * int * bool * int
-  | IJumpLocFCmpFalseI of
-      int * int * slots_by_class * Member.t * Ast.binop * bool * int
+  | IJumpCmpFalseI of Ast.binop * int
+  | IJumpCmpConstFalseI of Ast.binop * int * int
+  | IJumpLocCmpConstFalseI of int * Ast.binop * int * int
+  | IJumpLocCmpFalseI of Ast.binop * int * int
+  | IJumpLoc2CmpFalseI of Ast.binop * int * int * int
+  | IJumpLocFCmpFalseI of int * int * slots_by_class * Member.t * Ast.binop * int
   (* typed superinstructions, mirroring the generic fusion set *)
-  | ITickLoadI of int
   | ILoadFieldI of int * slots_by_class * Member.t
-  | ILoadFieldF of int * slots_by_class * Member.t
-  | ITickLoadFieldI of int * slots_by_class * Member.t
   | IThisFieldI of slots_by_class * Member.t
-  | IThisFieldF of slots_by_class * Member.t
-  | ITickThisFieldI of slots_by_class * Member.t
   | IIndexFieldI of slots_by_class * Member.t
   | ILoadLoadFieldI of int * int * slots_by_class * Member.t
   | IBinopConstI of Ast.binop * int
@@ -495,24 +470,19 @@ type instr =
       int * slots_by_class * Member.t * int * Ast.binop * int
       (* boxed l.f; typed [l' op k] index *)
   | ILoadFieldBinopI of int * slots_by_class * Member.t * Ast.binop
-  | IBinopLoadFieldI of Ast.binop * int * slots_by_class * Member.t
   | IThisFieldBinopI of slots_by_class * Member.t * Ast.binop
-  | IBinopConstAndFalseI of Ast.binop * int * int
-  | IStoreLocalPopTI of icoerce * int
   | IStoreLocalPopJumpI of icoerce * int * int
   | IIncDecLocalJumpI of Ast.incdec * int * int
   | IFieldIdxFieldI of
       int * slots_by_class * Member.t * int * Ast.binop * int
       * slots_by_class * Member.t
-  | ITickLoadFieldCmpLocFalseI of
-      int * slots_by_class * Member.t * Ast.binop * int * bool * int
+  | ILoadFieldCmpLocFalseI of
+      int * slots_by_class * Member.t * Ast.binop * int * int
   | ILoadFieldBinopJumpFalseI of
-      int * slots_by_class * Member.t * Ast.binop * bool * int
-  | IJumpBCCmpFalseI of Ast.binop * int * Ast.binop * bool * int
-      (* the bool folds the fall-through tick (the former ...TI form) *)
+      int * slots_by_class * Member.t * Ast.binop * int
+  | IJumpBCCmpFalseI of Ast.binop * int * Ast.binop * int
   | IJumpLL2FBCCmpFalseI of
-      int * int * slots_by_class * Member.t * Ast.binop * int * Ast.binop
-      * bool * int
+      int * int * slots_by_class * Member.t * Ast.binop * int * Ast.binop * int
   (* the scan loop with an int guard member: guard read is unboxed, the
      pointer step stays boxed (the step member is a reference bank) *)
   | IScanStepI of
@@ -524,13 +494,12 @@ type instr =
       * int * slots_by_class * Member.t * int * Ast.type_expr
   (* typed index/store chains and field-copy superinstructions: the
      typed images of fusion coverage the generic engine already had
-     ([ITickLoadFieldIndex], [ITLFIndexStoreT], [ILoadFieldBCAndFalse]),
-     plus store-from-source forms that collapse whole assignment
-     statements into one dispatch *)
+     ([ILoadFieldIndex], [ILoadFieldIndexStore]), plus store-from-source
+     forms that collapse whole assignment statements into one
+     dispatch *)
   | ILoadIndexI of int
   | ILoadFieldIndexI of int * slots_by_class * Member.t * int
-  | ITickLoadFieldIndexI of int * slots_by_class * Member.t * int
-  | ITLFIndexIStoreT of
+  | ILoadFieldIndexStoreI of
       int * slots_by_class * Member.t * int * int * Ast.type_expr
   | ILoadBinopI of Ast.binop * int
   | ILoadLoadFieldBinopI of
@@ -538,12 +507,11 @@ type instr =
   | ILoadFieldBCAndFalseI of
       int * slots_by_class * Member.t * Ast.binop * int * int
   | ILoadLocFieldI of int * slots_by_class * Member.t
-  | ITickLocFieldI of int * slots_by_class * Member.t
   | IAssignFieldLIPop of icoerce * int
   | IAssignFieldLFIPop of icoerce * int * slots_by_class * Member.t
-  | IFieldStoreLI of bool * icoerce * int * slots_by_class * Member.t * int
+  | IFieldStoreLI of icoerce * int * slots_by_class * Member.t * int
   | IFieldCopyII of
-      bool * icoerce * int * slots_by_class * Member.t * int * slots_by_class
+      icoerce * int * slots_by_class * Member.t * int * slots_by_class
       * Member.t
   (* this-rooted lvalues, constructor field initialization from a local
      or constant, folded constant-operator chains, and the
@@ -555,46 +523,38 @@ type instr =
   | IBinopConst2I of Ast.binop * int * Ast.binop * int
   | IBinopConst3I of
       Ast.binop * int * Ast.binop * int * Ast.binop * int
-  | ILoadFieldBCBinopI of
-      int * slots_by_class * Member.t * Ast.binop * int * Ast.binop
-  | ITickLoadBCI of int * Ast.binop * int
-  | IJumpLocTFCmpFalseI of
-      Ast.binop * int * slots_by_class * Member.t * bool * int
+  | IJumpLocTFCmpFalseI of Ast.binop * int * slots_by_class * Member.t * int
   (* [if (local->f BINOP const)] in branch position: the whole guard in
-     one dispatch. The two bools fold a tick before the test (statement
-     tick) and on fall-through (next statement's tick) — flags rather
-     than four constructors to stay under the variant-size limit *)
+     one dispatch *)
   | IJumpLocFieldBCFalseI of
-      bool * int * slots_by_class * Member.t * Ast.binop * int * bool * int
-  (* [if (this->f BINOP const)], same tick-flag scheme *)
+      int * slots_by_class * Member.t * Ast.binop * int * int
+  (* [if (this->f BINOP const)] *)
   | IJumpThisFieldBCFalseI of
-      bool * slots_by_class * Member.t * Ast.binop * int * bool * int
+      slots_by_class * Member.t * Ast.binop * int * int
   (* [this->dst = xform(this->src)] in one dispatch: dst slot resolves
      first, then the src read — the order the unfused sequence used *)
   | IThisXAssignI of
-      int * slots_by_class * Member.t * slots_by_class * Member.t * ixform
-      * icoerce
-  (* [return this->f] on an int member, statement tick included *)
+      slots_by_class * Member.t * slots_by_class * Member.t * ixform * icoerce
+  (* [return this->f] on an int member *)
   | IReturnThisFieldI of slots_by_class * Member.t
   (* a run of consecutive int-member initializers in a constructor
      prologue, executed left to right exactly as the unfused ops *)
   | IInitFieldsI of finit array
   (* [this->arr[ix]->f = rhs] as one dispatch (the dependency-graph
-     edge stores in hot loops). The bool folds the statement tick.
-     Destination resolves fully (array read, index, element, slot)
-     before the rhs is evaluated — the unfused order *)
+     edge stores in hot loops). Destination resolves fully (array read,
+     index, element, slot) before the rhs is evaluated — the unfused
+     order *)
   | IThisIdxFieldStoreI of
-      bool * slots_by_class * Member.t * idxsrc * slots_by_class
-      * Member.t * icoerce * irhs
-  (* [local = localA->arr[i]; if (localN->f BINOP const)] — the
+      slots_by_class * Member.t * idxsrc * slots_by_class * Member.t
+      * icoerce * irhs
+  (* [local = localA->arr[i]; <tick> if (localN->f BINOP const)] — the
      statement-plus-guard prefix of the hot list-walk loops, one
-     dispatch. First tuple is the [ITLFIndexIStoreT] payload (both its
-     ticks included), second the [IJumpLocFieldBCFalseI] test; the bool
-     folds the fall-through tick *)
+     dispatch. First tuple is the [ILoadFieldIndexStoreI] payload,
+     second the [IJumpLocFieldBCFalseI] test; the guard statement's one
+     tick runs between the two *)
   | ITLFIndexIStoreJumpFBCI of
       (int * slots_by_class * Member.t * int * int * Ast.type_expr)
       * (int * slots_by_class * Member.t * Ast.binop * int)
-      * bool
       * int
   (* a whole pure-int assignment statement (destination resolution, an
      RPN chain of int reads/combines, the store) in one dispatch — the
@@ -605,44 +565,47 @@ type instr =
   | IBinopConstCastStoreI of Ast.binop * value * Ast.type_expr * int
   (* a run of adjacent [ILoadIB]s — arg pushes for calls/ctors *)
   | ILoadIBn of int array
-  (* [tick?; this->m()] with no arguments, one dispatch *)
-  | ITickThisCallM of bool * int
-  (* [tick?; intlocal = (int)(this->m() binop const)] *)
-  | IThisCallMStoreI of bool * int * Ast.binop * value * Ast.type_expr * int
+  (* [this->m()] with no arguments, one dispatch *)
+  | IThisCallM of int
+  (* [intlocal = (int)(this->m() binop const)] *)
+  | IThisCallMStoreI of int * Ast.binop * value * Ast.type_expr * int
   (* loop back edges with the guard replicated into the increment
      (branch-target inlining, built in [finish]): the payload tuple is
      the guard's own payload, the trailing int the guard's fall-through
      pc. The guard instruction stays in place for fall-in entries. *)
   | IIncDecJumpLocFCmpI of
       Ast.incdec * int
-      * (int * int * slots_by_class * Member.t * Ast.binop * bool * int)
+      * (int * int * slots_by_class * Member.t * Ast.binop * int)
       * int
   | IIncDecJumpLL2FBCI of
       Ast.incdec * int
       * (int * int * slots_by_class * Member.t * Ast.binop * int * Ast.binop
-         * bool * int)
+         * int)
       * int
-  (* [tick; objlocal2 = arr-field[intlocal]; tick;
+  (* [objlocal2 = arr-field[intlocal]; <tick>
         objlocalA->fI = objlocalB->fI] — the two statements heading the
-        field-solver's innermost loop, one dispatch *)
+        field-solver's innermost loop, one dispatch; the second
+        statement's one tick runs between the two *)
   | ITLFIStoreFieldCopyII of
       (int * slots_by_class * Member.t * int * int * Ast.type_expr)
       * (icoerce * int * slots_by_class * Member.t * int * slots_by_class
          * Member.t)
   (* [intlocal = this->arr[objlocal->idx]->field] — the dependency-chase
-     statement; leading/trailing tick flags *)
+     statement *)
   | IThisFieldIdxFStoreI of
-      bool * slots_by_class * Member.t * int * slots_by_class * Member.t
-      * slots_by_class * Member.t * icoerce * int * bool
+      slots_by_class * Member.t * int * slots_by_class * Member.t
+      * slots_by_class * Member.t * icoerce * int
 
-(* A compiled code body. [b_omax] bounds the operand stack the body can
-   ever need (computed conservatively during emission); [b_scoped] says
-   whether any destroy scope is opened, so scope-free bodies skip the
-   unwinding machinery entirely. [b_id] is the body's index into
-   [cp_bodies]/[cp_owners], assigned during [compile]; the profiler
-   uses it to find the body's counter row. *)
+(* A compiled code body. [b_ticks.(pc)] is the number of statement
+   ticks that fire before [b_code.(pc)] runs. [b_omax] bounds the
+   operand stack the body can ever need (computed conservatively during
+   emission); [b_scoped] says whether any destroy scope is opened, so
+   scope-free bodies skip the unwinding machinery entirely. [b_id] is
+   the body's index into [cp_bodies]/[cp_owners], assigned during
+   [compile]; the profiler uses it to find the body's counter row. *)
 type cbody = {
   b_code : instr array;
+  b_ticks : int array;
   b_omax : int;
   b_imax : int;  (* untagged int operand-stack bound *)
   b_fmax : int;  (* untagged float operand-stack bound *)
@@ -716,35 +679,27 @@ let delta = function
   | IInitFieldScalar _ ->
       -1
   | IJumpCmpFalse _ -> -2
-  | ILoadField _ | ITickLoad _ | ITickLoadField _ | IThisField _
-  | ILoadLocField _ ->
-      1
-  | ILoadFieldBinop _ | IBinopConst _ | ITickN _ | ITickPushScope _
-  | IIncDecLocalJump _ | IJumpLocCmpConstFalse _ | IJumpLocCmpConstFalseT _
-  | ILoadIndex _ | IJumpLoc2CmpFalse _ | IJumpLoc2CmpFalseT _
-  | ITickLoadFieldStore _ | ITickLoadFieldStoreJump _ ->
+  | ILoadField _ | IThisField _ | ILoadLocField _ -> 1
+  | ILoadFieldBinop _ | IBinopConst _ | IIncDecLocalJump _
+  | IJumpLocCmpConstFalse _ | ILoadIndex _ | IJumpLoc2CmpFalse _
+  | ILoadFieldStore _ | ILoadFieldStoreJump _ ->
       0
-  | IFieldBinop _ | IIndexField _ | IStoreLocalPopT _ | IStoreLocalPopJump _
-  | IJumpIfFalseT _ | IJumpCmpConstFalse _ | IJumpCmpConstFalseT _
-  | IJumpLocCmpFalse _ | IJumpLocCmpFalseT _ ->
+  | IFieldBinop _ | IIndexField _ | IStoreLocalPopJump _
+  | IJumpCmpConstFalse _ | IJumpLocCmpFalse _ ->
       -1
-  | IAssignPop _ | IJumpCmpFalseT _ -> -2
-  | ILoadBinopConst _ | ILoadFieldBC _ | ITickThisField _
-  | ILoad2FieldBinop _ | ITickLoadFieldIndex _ | ILocFieldLoadField _
-  | IFieldIdxField _ ->
+  | IAssignPop _ -> -2
+  | ILoadBinopConst _ | ILoadFieldBC _
+  | ILoadFieldIndex _ | ILocFieldLoadField _ | IFieldIdxField _ ->
       1
   | ILoadFieldLoadBC _ | ILoadLoadField _ -> 2
-  | IStoreTLoadField _ | ITLFIndexStoreT _ | ITickLoadFieldCmpLocFalse _
-  | ITickLoadFieldCmpLocFalseT _ ->
+  | IStoreTLoadField _ | ILoadFieldIndexStore _ | ILoadFieldCmpLocFalse _ ->
       0
-  | ILoadFieldBinop2 _ | IJumpIfFalseTPushScope _ | ILoadFieldBinopJumpFalse _
-  | ILoadFieldBinopJumpFalseT _ | IBinopConstAndFalse _ ->
+  | ILoadFieldBinop2 _ | ILoadFieldBinopJumpFalse _ | IBinopConstAndFalse _ ->
       -1
   | IJumpBCCmpFalse _ -> -2
   | IScanStep _ | ILoopScan _
-  | IBinopLoadField _ | IThisFieldBinop _ | IConstFieldBinop2 _
-  | ILoadFieldBCAndFalse _ | IJumpLocFCmpFalse _ | IJumpLocFCmpFalseT _
-  | IJumpLL2FBCCmpFalse _ | IJumpLL2FBCCmpFalseT _ ->
+  | IBinopLoadField _ | IThisFieldBinop _
+  | ILoadFieldBCAndFalse _ | IJumpLocFCmpFalse _ | IJumpLL2FBCCmpFalse _ ->
       0
   | ILoadLocFieldLoadField _ -> 2
   | IBinop2 _ -> -2
@@ -754,7 +709,7 @@ let delta = function
   | IBuiltin (_, n) | ICallFunc (_, n) | INewObj { n_argc = n; _ } -> 1 - n
   | ICallMethod { m_argc = n; _ } -> -n  (* receiver consumed, result pushed *)
   | ILoadIBn a -> Array.length a
-  | ITickThisCallM _ -> 1
+  | IThisCallM _ -> 1
   | ICallVirtual { v_argc = n; _ } -> -n
   | ICallFunPtr n -> -n
   | ICallCtor (_, n) -> -n
@@ -762,10 +717,9 @@ let delta = function
   | IDeclCtor { dc_argc = n; _ } -> -n
   (* typed instructions: boxed-stack effect only (their int/float stack
      effects live in [idelta]/[fdelta]) *)
-  | IBoxI | IBoxF | IBoxIU | IBoxFU | ILoadIB _ | ILoadFB _ | ILoadFieldIB _
-  | ILoadFieldFB _ | ILoadFieldLoadBCI _ | ILoadFieldIndexI _
-  | ITickLoadFieldIndexI _ | ILoadLocFieldI _ | ITickLocFieldI _
-  | IThisLocFieldI _ ->
+  | IBoxI | IBoxF | IBoxIU | IBoxFU | ILoadIB _ | ILoadFieldIB _
+  | ILoadFieldLoadBCI _ | ILoadFieldIndexI _
+  | ILoadLocFieldI _ | IThisLocFieldI _ ->
       1
   | IFieldI _ | IFieldF _ | IIndexFieldI _ | IAssignFieldI _
   | IAssignFieldIPop _ | IAssignFieldF | IAssignFieldFPop | IAssignFieldIB _
@@ -792,20 +746,19 @@ let delta = function
   | IJumpLocCmpConstFalseI _
   | IJumpLocCmpFalseI _
   | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
-  | ITickLoadI _ | ILoadFieldI _ | ILoadFieldF _
-  | ITickLoadFieldI _ | IThisFieldI _ | IThisFieldF _ | ITickThisFieldI _
+  | ILoadFieldI _ | IThisFieldI _
   | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _ | ILoadFieldBCI _
-  | ILoadFieldBinopI _ | IBinopLoadFieldI _ | IThisFieldBinopI _
-  | IBinopConstAndFalseI _ | IStoreLocalPopTI _ | IStoreLocalPopJumpI _
-  | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
+  | ILoadFieldBinopI _ | IThisFieldBinopI _
+  | ILoadFieldBCAndFalseI _ | IStoreLocalPopJumpI _
+  | IIncDecLocalJumpI _ | IFieldIdxFieldI _ | ILoadFieldCmpLocFalseI _
   | ILoadFieldBinopJumpFalseI _
   | IJumpBCCmpFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
-  | ILoopScanI _ | ILoadIndexI _ | ITLFIndexIStoreT _ | ILoadBinopI _
-  | ILoadLoadFieldBinopI _ | ILoadFieldBCAndFalseI _ | IFieldStoreLI _
+  | ILoopScanI _ | ILoadIndexI _ | ILoadFieldIndexStoreI _ | ILoadBinopI _
+  | ILoadLoadFieldBinopI _ | IFieldStoreLI _
   | IFieldCopyII _
   | IInitFieldLI _ | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
-  | ILoadFieldBCBinopI _ | ITickLoadBCI _ | IJumpLocTFCmpFalseI _
+  | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ | IThisXAssignI _
   | IReturnThisFieldI _ | IInitFieldsI _ | IThisIdxFieldStoreI _
   | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IThisFieldIdxFStoreI _
@@ -816,16 +769,15 @@ let delta = function
 (* Net effect on the untagged int operand stack. Only typed instructions
    touch it, so the wildcard covers the whole generic set. *)
 let idelta = function
-  | IConstI _ | ILoadI _ | ITickLoadI _ | IFieldI _ | ILoadFieldI _
-  | ITickLoadFieldI _ | IThisFieldI _ | ITickThisFieldI _ | ILoadBinopConstI _
-  | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | IIncDecLocalI _ | ICastFI
-  | ILocFieldI _ | ILocFieldF _ | INotF | ICmpFF _ | IFieldIdxFieldI _
-  | ILoadLocFieldI _ | ITickLocFieldI _ | ILoadLoadFieldBinopI _
-  | IThisLocFieldI _ | ITickLoadBCI _ ->
+  | IConstI _ | ILoadI _ | IFieldI _ | ILoadFieldI _ | IThisFieldI _
+  | ILoadBinopConstI _ | ILoadFieldBCI _ | ILoadFieldLoadBCI _
+  | IIncDecLocalI _ | ICastFI | ILocFieldI _ | ILocFieldF _ | INotF
+  | ICmpFF _ | IFieldIdxFieldI _ | ILoadLocFieldI _ | ILoadLoadFieldBinopI _
+  | IThisLocFieldI _ ->
       1
   | ILoadLoadFieldI _ -> 2
   | IBoxI | IBoxIU | IPopI | IBinopII _ | IStoreLocalPopI _
-  | IStoreLocalPopTI _ | IStoreLocalPopJumpI _ | ICompoundLocalIPop _
+  | IStoreLocalPopJumpI _ | ICompoundLocalIPop _
   | IJumpIfFalseI _ | IJumpIfTrueI _ | IAndFalseI _
   | IOrTrueI _ | IJumpCmpConstFalseI _
   | IJumpLocCmpFalseI _ | IAssignFieldI _
@@ -834,7 +786,7 @@ let idelta = function
   | ICompoundFieldFPop _ | ICompoundFieldB _ | ICompoundFieldBPop _
   | IIncDecFieldIPop _ | IIncDecFieldF _ | IIncDecFieldFPop _
   | IInitFieldScalarI _ | ICastIF | IArithIF _ | IArithFI _
-  | IBinopConstAndFalseI _ | ILoadFieldBinopJumpFalseI _
+  | ILoadFieldBinopJumpFalseI _
   | IAssignFieldFPop | IIndexI
   | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | IAssignFieldCIPop _ ->
       -1
@@ -845,7 +797,7 @@ let idelta = function
 
 (* Net effect on the untagged float operand stack. *)
 let fdelta = function
-  | IConstF _ | ILoadF _ | IFieldF _ | ILoadFieldF _ | IThisFieldF _
+  | IConstF _ | ILoadF _ | IFieldF _
   | ICastIF | IIncDecLocalF _ | IIncDecFieldF _ ->
       1
   | IArithFF _ | ICmpIF _ | ICmpFI _ | INotF | IBoxF | IBoxFU | IPopF
@@ -858,6 +810,10 @@ let fdelta = function
 
 type buf = {
   mutable code : instr array;
+  mutable ticks : int array;  (* pre-tick per slot, parallel to [code] *)
+  mutable pending : int;
+      (* statement ticks emitted since the last instruction; the next
+         emitted instruction carries them as its pre-tick *)
   mutable len : int;
   mutable od : int;    (* linear-scan operand depth *)
   mutable omax : int;
@@ -879,6 +835,8 @@ type buf = {
 let mk_buf () =
   {
     code = Array.make 32 IReturnUnit;
+    ticks = Array.make 32 0;
+    pending = 0;
     len = 0;
     od = 0;
     omax = 0;
@@ -920,35 +878,25 @@ let commutes = function
    equivalent to [prev; i], or [None]. Every fusion preserves the exact
    sequence semantics (evaluation order, ticks, errors) by
    construction — the VM arm of each fused form is the concatenation of
-   its parts' arms. The selection comes from the dynamic pair profile
-   over the benchmark suite: local.field reads, statement ticks glued to
-   their first load, binops against a constant, and the store/increment
-   plus back-edge of for loops cover over half of all executed pairs. *)
+   its parts' arms, and the fused slot keeps [prev]'s pre-tick ([emit]
+   never offers an [i] that carries one). The selection comes from the
+   dynamic pair profile over the benchmark suite: local.field reads,
+   binops against a constant, and the store/increment plus back-edge of
+   for loops cover over half of all executed pairs. *)
 let fuse (prev : instr) (i : instr) : instr option =
   match (prev, i) with
   | ILoad n, IField (s, m) -> Some (ILoadField (n, s, m))
-  | ITickLoad n, IField (s, m) -> Some (ITickLoadField (n, s, m))
   | IThis, IField (s, m) -> Some (IThisField (s, m))
   | IIndex, IField (s, m) -> Some (IIndexField (s, m))
   | ILoad n, ILocField (s, m) -> Some (ILoadLocField (n, s, m))
-  | ITick, ILoad n -> Some (ITickLoad n)
-  | ITick, ITick -> Some (ITickN 2)
-  | ITickN n, ITick -> Some (ITickN (n + 1))
-  | ITick, IPushScope s -> Some (ITickPushScope s)
-  | IStoreLocalPop (n, ty), ITick -> Some (IStoreLocalPopT (n, ty))
-  | IJumpIfFalse t, ITick -> Some (IJumpIfFalseT t)
-  | IJumpCmpFalse (op, t), ITick -> Some (IJumpCmpFalseT (op, t))
-  | IJumpCmpConstFalse (op, v, t), ITick ->
-      Some (IJumpCmpConstFalseT (op, v, t))
-  | IJumpLocCmpConstFalse (n, op, v, t), ITick ->
-      Some (IJumpLocCmpConstFalseT (n, op, v, t))
-  | IJumpLocCmpFalse (op, n, t), ITick -> Some (IJumpLocCmpFalseT (op, n, t))
-  | IJumpLoc2CmpFalse (op, x, y, t), ITick ->
-      Some (IJumpLoc2CmpFalseT (op, x, y, t))
-  | ITickLoadField (i, s, m), IStoreLocalPop (j, ty) ->
-      Some (ITickLoadFieldStore (i, s, m, j, ty))
-  | ITickLoadFieldStore (i, s, m, j, ty), IJump t ->
-      Some (ITickLoadFieldStoreJump (i, s, m, j, ty, t))
+  | ILoadField (i, s, m), IStoreLocalPop (j, ty) ->
+      Some (ILoadFieldStore (i, s, m, j, ty))
+  | ILoadFieldStore (i, s, m, j, ty), IJump t ->
+      Some (ILoadFieldStoreJump (i, s, m, j, ty, t))
+  | ILoadFieldIndex (a, s, m, i), IStoreLocalPop (x, ty) ->
+      Some (ILoadFieldIndexStore (a, s, m, i, x, ty))
+  | ILoadFieldIndexI (a, s, m, i), IStoreLocalPop (x, ty) ->
+      Some (ILoadFieldIndexStoreI (a, s, m, i, x, ty))
   | IConst v, IBinop op -> Some (IBinopConst (op, v))
   | ILoadField (n, s, m), IBinop op -> Some (ILoadFieldBinop (n, s, m, op))
   | IField (s, m), IBinop op -> Some (IFieldBinop (s, m, op))
@@ -960,46 +908,28 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ILoad n, IIndex -> Some (ILoadIndex n)
   | ILoadFieldBinop (n, s, m, op1), IBinop op2 ->
       Some (ILoadFieldBinop2 (n, s, m, op1, op2))
-  | ITickLoadField (n, s, m), IJumpLocCmpFalse (op, y, t) ->
-      Some (ITickLoadFieldCmpLocFalse (n, s, m, op, y, t))
-  | ITickLoadFieldCmpLocFalse (n, s, m, op, y, t), ITick ->
-      Some (ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t))
+  | ILoadField (n, s, m), IJumpLocCmpFalse (op, y, t) ->
+      Some (ILoadFieldCmpLocFalse (n, s, m, op, y, t))
   | IBinopConst (op, v), IAndFalse t -> Some (IBinopConstAndFalse (op, v, t))
-  | IJumpIfFalseT t, IPushScope s -> Some (IJumpIfFalseTPushScope (t, s))
   | ILoadFieldBinop (n, s, m, op), IJumpIfFalse t ->
       Some (ILoadFieldBinopJumpFalse (n, s, m, op, t))
-  | ILoadFieldBinopJumpFalse (n, s, m, op, t), ITick ->
-      Some (ILoadFieldBinopJumpFalseT (n, s, m, op, t))
-  | IJumpBCCmpFalse (o1, v, o2, false, t), ITick ->
-      Some (IJumpBCCmpFalse (o1, v, o2, true, t))
   | IThisField (s, m), IBinop op -> Some (IThisFieldBinop (s, m, op))
   | IBinop op1, IBinop op2 -> Some (IBinop2 (op1, op2))
   | ILoadFieldBC (n, s, m, op, v), IAndFalse t ->
       Some (ILoadFieldBCAndFalse (n, s, m, op, v, t))
-  | IJumpLocFCmpFalse (i, j, s, m, op, t), ITick ->
-      Some (IJumpLocFCmpFalseT (i, j, s, m, op, t))
-  | IJumpLL2FBCCmpFalse (i, j, s, m, op1, v, op2, t), ITick ->
-      Some (IJumpLL2FBCCmpFalseT (i, j, s, m, op1, v, op2, t))
   (* -- typed mirrors ---------------------------------------------------- *)
   | IConstI n, IBoxI -> Some (IConst (vint n))
   | IConstF f, IBoxF -> Some (IConst (VFloat f))
   | ILoadI n, IBoxI -> Some (ILoadIB n)
-  | ILoadF n, IBoxF -> Some (ILoadFB n)
   | ILoadFieldI (n, s, m), IBoxI -> Some (ILoadFieldIB (n, s, m))
-  | ILoadFieldF (n, s, m), IBoxF -> Some (ILoadFieldFB (n, s, m))
   | IConstI n, ICastIF -> Some (IConstF (float_of_int n))
   | IConstF f, ICastFI -> Some (IConstI (int_of_float f))
-  | ITick, ILoadI n -> Some (ITickLoadI n)
   | ILoad n, IFieldI (s, m) -> Some (ILoadFieldI (n, s, m))
-  | ILoad n, IFieldF (s, m) -> Some (ILoadFieldF (n, s, m))
-  | ITickLoad n, IFieldI (s, m) -> Some (ITickLoadFieldI (n, s, m))
   | IThis, IFieldI (s, m) -> Some (IThisFieldI (s, m))
-  | IThis, IFieldF (s, m) -> Some (IThisFieldF (s, m))
   | IIndexI, IFieldI (s, m) -> Some (IIndexFieldI (s, m))
   | IConstI k, IBinopII op -> Some (IBinopConstI (op, k))
   | ILoadFieldI (n, s, m), IBinopII op -> Some (ILoadFieldBinopI (n, s, m, op))
   | IThisFieldI (s, m), IBinopII op -> Some (IThisFieldBinopI (s, m, op))
-  | IBinopConstI (op, k), IAndFalseI t -> Some (IBinopConstAndFalseI (op, k, t))
   | IStoreLocalI (ic, n), IPopI -> Some (IStoreLocalPopI (ic, n))
   | IStoreLocalF n, IPopF -> Some (IStoreLocalPopF n)
   | IStoreLocalIB (ty, n), IPop -> Some (IStoreLocalIBPop (ty, n))
@@ -1019,61 +949,26 @@ let fuse (prev : instr) (i : instr) : instr option =
   | ICompoundFieldB (op, ty, bk), IPop -> Some (ICompoundFieldBPop (op, ty, bk))
   | IIncDecFieldI (w, _), IPopI -> Some (IIncDecFieldIPop w)
   | IIncDecFieldF (w, _), IPopF -> Some (IIncDecFieldFPop w)
-  | IStoreLocalPopI (ic, n), ITick -> Some (IStoreLocalPopTI (ic, n))
   | IStoreLocalPopI (ic, n), IJump t -> Some (IStoreLocalPopJumpI (ic, n, t))
   | IIncDecLocalPopI (w, n), IJump t -> Some (IIncDecLocalJumpI (w, n, t))
-  | IJumpIfFalseI (false, t), ITick -> Some (IJumpIfFalseI (true, t))
-  | IJumpIfFalseF (false, t), ITick -> Some (IJumpIfFalseF (true, t))
-  | IJumpCmpFalseI (op, false, t), ITick -> Some (IJumpCmpFalseI (op, true, t))
-  | IJumpCmpConstFalseI (op, k, false, t), ITick ->
-      Some (IJumpCmpConstFalseI (op, k, true, t))
-  | IJumpLocCmpConstFalseI (n, op, k, false, t), ITick ->
-      Some (IJumpLocCmpConstFalseI (n, op, k, true, t))
-  | IJumpLocCmpFalseI (op, n, false, t), ITick ->
-      Some (IJumpLocCmpFalseI (op, n, true, t))
-  | IJumpLoc2CmpFalseI (op, x, y, false, t), ITick ->
-      Some (IJumpLoc2CmpFalseI (op, x, y, true, t))
-  | IJumpLocFCmpFalseI (i, j, s, m, op, false, t), ITick ->
-      Some (IJumpLocFCmpFalseI (i, j, s, m, op, true, t))
-  | IJumpBCCmpFalseI (o1, k, o2, false, t), ITick ->
-      Some (IJumpBCCmpFalseI (o1, k, o2, true, t))
-  | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, false, t), ITick ->
-      Some (IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, true, t))
-  | IJumpLocFieldBCFalseI (tp, n, s, m, op, k, false, t), ITick ->
-      Some (IJumpLocFieldBCFalseI (tp, n, s, m, op, k, true, t))
-  | ITLFIndexIStoreJumpFBCI (st, br, false, t), ITick ->
-      Some (ITLFIndexIStoreJumpFBCI (st, br, true, t))
-  | IJumpThisFieldBCFalseI (tp, s, m, op, k, false, t), ITick ->
-      Some (IJumpThisFieldBCFalseI (tp, s, m, op, k, true, t))
-  | ILoadFieldBCI (n, s, m, op, k), IJumpIfFalseI (false, t) ->
-      Some (IJumpLocFieldBCFalseI (false, n, s, m, op, k, false, t))
-  | ITickLoadFieldI (n, s, m), IJumpLocCmpFalseI (op, y, tk, t) ->
-      Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t))
-  | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, false, t), ITick ->
-      Some (ITickLoadFieldCmpLocFalseI (n, s, m, op, y, true, t))
-  | ILoadFieldBinopI (n, s, m, op), IJumpIfFalseI (false, t) ->
-      Some (ILoadFieldBinopJumpFalseI (n, s, m, op, false, t))
-  | ILoadFieldBinopJumpFalseI (n, s, m, op, false, t), ITick ->
-      Some (ILoadFieldBinopJumpFalseI (n, s, m, op, true, t))
+  | ILoadFieldBCI (n, s, m, op, k), IJumpIfFalseI t ->
+      Some (IJumpLocFieldBCFalseI (n, s, m, op, k, t))
+  | ILoadFieldI (n, s, m), IJumpLocCmpFalseI (op, y, t) ->
+      Some (ILoadFieldCmpLocFalseI (n, s, m, op, y, t))
+  | ILoadFieldBinopI (n, s, m, op), IJumpIfFalseI t ->
+      Some (ILoadFieldBinopJumpFalseI (n, s, m, op, t))
+  | ILoadFieldBCI (n, s, m, op, k), IAndFalseI t ->
+      Some (ILoadFieldBCAndFalseI (n, s, m, op, k, t))
   | ILoadI i, IIndexI -> Some (ILoadIndexI i)
   | ILoadI i, IBinopII op -> Some (ILoadBinopI (op, i))
   | ILoadLoadFieldI (x, y, s, m), IBinopII op ->
       Some (ILoadLoadFieldBinopI (x, y, s, m, op))
   | ILoad n, ILocFieldI (s, m) -> Some (ILoadLocFieldI (n, s, m))
-  | ITickLoad n, ILocFieldI (s, m) -> Some (ITickLocFieldI (n, s, m))
   | IThis, ILocFieldI (s, m) -> Some (IThisLocFieldI (s, m))
   | IThis, ICallMethod { m_func; m_argc = 0; m_arrow = _ } ->
-      Some (ITickThisCallM (false, m_func))
-  | ITick, IThisXAssignI (0, sd, md, ss, ms, xf, ic) ->
-      Some (IThisXAssignI (1, sd, md, ss, ms, xf, ic))
-  | ITickN n, IThisXAssignI (0, sd, md, ss, ms, xf, ic) ->
-      Some (IThisXAssignI (n, sd, md, ss, ms, xf, ic))
-  | ITickThisCallM (tk, f), IBinopConstCastStoreI (op, v, ty, i) ->
-      Some (IThisCallMStoreI (tk, f, op, v, ty, i))
-  | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false), ITick ->
-      Some (IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, true))
-  | ILoadFieldBCI (n, s, m, op, k), IAndFalseI t ->
-      Some (ILoadFieldBCAndFalseI (n, s, m, op, k, t))
+      Some (IThisCallM m_func)
+  | IThisCallM f, IBinopConstCastStoreI (op, v, ty, i) ->
+      Some (IThisCallMStoreI (f, op, v, ty, i))
   (* assignment/initialization whose rhs is a local or a constant *)
   | ILoadI i, IAssignFieldIPop ic -> Some (IAssignFieldLIPop (ic, i))
   | ILoadFieldI (j, s, m), IAssignFieldIPop ic ->
@@ -1092,10 +987,6 @@ let fuse (prev : instr) (i : instr) : instr option =
            | Ast.Not -> if k = 0 then 1 else 0
            | Ast.BitNot -> lnot k
            | Ast.UPlus -> k))
-  | ILoadFieldBCI (n, s, m, op1, k), IBinopII op2 ->
-      Some (ILoadFieldBCBinopI (n, s, m, op1, k, op2))
-  | IJumpLocTFCmpFalseI (op, x, s, m, false, t), ITick ->
-      Some (IJumpLocTFCmpFalseI (op, x, s, m, true, t))
   (* a comparison already leaves exactly 0/1 on the int stack, so the
      [&&]/[||] rhs normalization to bool is the identity on it *)
   | IBinopII op, IToBoolI when is_cmp op -> Some (IBinopII op)
@@ -1111,19 +1002,17 @@ let fuse (prev : instr) (i : instr) : instr option =
       Some (ILoadLoadFieldBinopI (x, y, s, m, op))
   | (IBinopConst2I (_, _, op, _) as p), IToBoolI when is_cmp op -> Some p
   | (IBinopConst3I (_, _, _, _, op, _) as p), IToBoolI when is_cmp op -> Some p
-  | (ILoadFieldBCBinopI (_, _, _, _, _, op) as p), IToBoolI when is_cmp op ->
-      Some p
-  | (ITickLoadBCI (_, op, _) as p), IToBoolI when is_cmp op -> Some p
   | ((ICmpFF _ | ICmpIF _ | ICmpFI _ | INotF | IToBoolI) as p), IToBoolI ->
       Some p
   | IUnaryI Ast.Not, IToBoolI -> Some (IUnaryI Ast.Not)
   | _ -> None
 
 (* The cascade table: after [fuse] lands a combined instruction, try
-   fusing it with *its* predecessor. Only forms whose consumed halves
-   carry no pending patch site may appear here (no branch instruction is
-   ever on the right, and no vacated slot may hold a branch), so the
-   recorded patch positions stay valid when the frontier shrinks. *)
+   fusing it with *its* predecessor. Only forms whose vacated slot holds
+   no recorded patch site may appear here (a branch on the right is the
+   one being emitted, whose site [emit_patch] reads after the cascade
+   settles), so the recorded patch positions stay valid when the
+   frontier shrinks. Like [fuse], it joins only a tickless [f]. *)
 let fuse2 (prev : instr) (f : instr) : instr option =
   match (prev, f) with
   | ILoad n, IBinopConst (op, v) -> Some (ILoadBinopConst (n, op, v))
@@ -1134,27 +1023,16 @@ let fuse2 (prev : instr) (f : instr) : instr option =
   | ILoadFieldLoadBC (n, s, m, j, op, v), IIndexField (s2, m2) ->
       Some (IFieldIdxField (n, s, m, j, op, v, s2, m2))
   | IBinop op, IAssignPop ty -> Some (IBinopAssignPop (op, ty))
-  | ITick, IThisField (s, m) -> Some (ITickThisField (s, m))
-  | ITick, ITickThisCallM (false, f) -> Some (ITickThisCallM (true, f))
   | ILoadIB a, ILoadIB c -> Some (ILoadIBn [| a; c |])
   | ILoadIBn a, ILoadIB c -> Some (ILoadIBn (Array.append a [| c |]))
-  | ILoad i, ILoadFieldBinop (j, s, m, op) ->
-      Some (ILoad2FieldBinop (i, j, s, m, op))
   | ILoad i, ILoadField (j, s, m) -> Some (ILoadLoadField (i, j, s, m))
   | ILocField (s1, m1), ILoadField (j, s2, m2) ->
       Some (ILocFieldLoadField (s1, m1, j, s2, m2))
-  | IStoreLocalPopT (i, ty), ILoadField (j, s, m) ->
-      Some (IStoreTLoadField (i, ty, j, s, m))
-  | ITickLoadField (a, s, m), ILoadIndex i ->
-      Some (ITickLoadFieldIndex (a, s, m, i))
-  | ITickLoadFieldIndex (a, s, m, i), IStoreLocalPopT (x, ty) ->
-      Some (ITLFIndexStoreT (a, s, m, i, x, ty))
+  | ILoadField (a, s, m), ILoadIndex i -> Some (ILoadFieldIndex (a, s, m, i))
   | IBinop op, ILoadField (j, s, m) -> Some (IBinopLoadField (op, j, s, m))
   | ILoadFieldBinop2 (n, s, m, op1, op2), IAssignPop ty ->
       Some (IFieldBinop2AssignPop (n, s, m, op1, op2, ty))
   | IBinop2 (op1, op2), IAssignPop ty -> Some (IBinop2AssignPop (op1, op2, ty))
-  | IConst v, ILoadFieldBinop2 (n, s, m, op1, op2) ->
-      Some (IConstFieldBinop2 (v, n, s, m, op1, op2))
   | ILoadLocField (n, s, m), ILoadField (j, s2, m2) ->
       Some (ILoadLocFieldLoadField (n, s, m, j, s2, m2))
   (* -- typed mirrors ---------------------------------------------------- *)
@@ -1166,31 +1044,20 @@ let fuse2 (prev : instr) (f : instr) : instr option =
   | ILoadFieldLoadBCI (n, s, m, j, op, k), IIndexFieldI (s2, m2) ->
       Some (IFieldIdxFieldI (n, s, m, j, op, k, s2, m2))
   | ILoadI i, ILoadFieldI (j, s, m) -> Some (ILoadLoadFieldI (i, j, s, m))
-  | IBinopII op, ILoadFieldI (j, s, m) -> Some (IBinopLoadFieldI (op, j, s, m))
-  | ITick, IThisFieldI (s, m) -> Some (ITickThisFieldI (s, m))
   | ILoadField (a, s, m), ILoadIndexI i -> Some (ILoadFieldIndexI (a, s, m, i))
-  | ITickLoadField (a, s, m), ILoadIndexI i ->
-      Some (ITickLoadFieldIndexI (a, s, m, i))
-  | ITickLoadFieldIndexI (a, s, m, i), IStoreLocalPopT (x, ty) ->
-      Some (ITLFIndexIStoreT (a, s, m, i, x, ty))
   | IConstI k, ILoadFieldBinopI (j, s, m, op) when commutes op ->
       Some (ILoadFieldBCI (j, s, m, op, k))
   | ILoadI i, IAssignFieldIPop ic -> Some (IAssignFieldLIPop (ic, i))
   | ILoadFieldI (j, s, m), IAssignFieldIPop ic ->
       Some (IAssignFieldLFIPop (ic, j, s, m))
   | ILoadLocFieldI (n, s, m), IAssignFieldLIPop (ic, i) ->
-      Some (IFieldStoreLI (false, ic, n, s, m, i))
-  | ITickLocFieldI (n, s, m), IAssignFieldLIPop (ic, i) ->
-      Some (IFieldStoreLI (true, ic, n, s, m, i))
+      Some (IFieldStoreLI (ic, n, s, m, i))
   | ILoadLocFieldI (a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
-      Some (IFieldCopyII (false, ic, a, s1, m1, j, s2, m2))
-  | ITickLocFieldI (a, s1, m1), IAssignFieldLFIPop (ic, j, s2, m2) ->
-      Some (IFieldCopyII (true, ic, a, s1, m1, j, s2, m2))
+      Some (IFieldCopyII (ic, a, s1, m1, j, s2, m2))
   | IBinopConstI (o1, k1), IBinopConstI (o2, k2) ->
       Some (IBinopConst2I (o1, k1, o2, k2))
   | IBinopConst2I (o1, k1, o2, k2), IBinopConstI (o3, k3) ->
       Some (IBinopConst3I (o1, k1, o2, k2, o3, k3))
-  | ITickLoadI n, IBinopConstI (op, k) -> Some (ITickLoadBCI (n, op, k))
   (* constructor-prologue init runs: [IInitFieldLI]/[IInitFieldConstI]
      only ever appear via fusion, so the chain rules live here (the
      [settle] cascade) rather than in the pairwise table *)
@@ -1206,21 +1073,30 @@ let fuse2 (prev : instr) (f : instr) : instr option =
       Some (IInitFieldsI (Array.append a [| FInitL (s, m, c, i) |]))
   | IInitFieldsI a, IInitFieldConstI (s, m, c, k) ->
       Some (IInitFieldsI (Array.append a [| FInitC (s, m, c, k) |]))
-  | ( ITLFIndexIStoreT (a, s, m, i, x, ty),
-      IFieldCopyII (false, ic, a2, s1, m1, j, s2, m2) ) ->
+  | _ -> None
+
+(* The cross-statement cascade: [prev] ends one statement and [f] opens
+   the next, with exactly that statement's one tick between them, which
+   the product runs as part of its own arm. *)
+let fuse_across (prev : instr) (f : instr) : instr option =
+  match (prev, f) with
+  | IStoreLocalPop (i, ty), ILoadField (j, s, m) ->
+      Some (IStoreTLoadField (i, ty, j, s, m))
+  | ILoadFieldIndexStoreI (a, s, m, i, x, ty), IFieldCopyII (ic, a2, s1, m1, j, s2, m2)
+    ->
       Some (ITLFIStoreFieldCopyII ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2)))
-  | ( ITLFIndexIStoreT (a, s0, m0, i0, x0, ty0),
-      IJumpLocFieldBCFalseI (false, n, s, m, op, k, ta, t) ) ->
-      (* the indexed-load statement supplies the guard's leading tick
-         itself (its trailing tick), so only the tickless form fuses *)
-      Some
-        (ITLFIndexIStoreJumpFBCI
-           ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), ta, t))
+  | ILoadFieldIndexStoreI (a, s0, m0, i0, x0, ty0), IJumpLocFieldBCFalseI (n, s, m, op, k, t)
+    ->
+      Some (ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t))
   | _ -> None
 
 let emit (b : buf) (i : instr) =
+  let tk = b.pending in
+  b.pending <- 0;
   match
-    if b.len > 0 && b.lastlab <> b.len then fuse b.code.(b.len - 1) i else None
+    if tk = 0 && b.len > 0 && b.lastlab <> b.len then
+      fuse b.code.(b.len - 1) i
+    else None
   with
   | Some f ->
       b.code.(b.len - 1) <- f;
@@ -1228,10 +1104,18 @@ let emit (b : buf) (i : instr) =
       bump b i;
       (* cascade: the combined instruction may fuse again with its own
          predecessor. A label on the surviving slot is fine (the fused
-         run starts there); one on the vacated slot blocks it. *)
+         run starts there); one on the vacated slot blocks it, and so
+         does a pre-tick there, except for the one-tick statement
+         boundary [fuse_across] spans. *)
       let rec settle () =
         if b.len >= 2 && b.lastlab < b.len - 1 then
-          match fuse2 b.code.(b.len - 2) b.code.(b.len - 1) with
+          let prev = b.code.(b.len - 2) and f = b.code.(b.len - 1) in
+          match
+            match b.ticks.(b.len - 1) with
+            | 0 -> fuse2 prev f
+            | 1 -> fuse_across prev f
+            | _ -> None
+          with
           | Some g ->
               b.len <- b.len - 1;
               b.code.(b.len - 1) <- g;
@@ -1243,11 +1127,19 @@ let emit (b : buf) (i : instr) =
       if b.len = Array.length b.code then begin
         let nc = Array.make (2 * b.len) IReturnUnit in
         Array.blit b.code 0 nc 0 b.len;
-        b.code <- nc
+        b.code <- nc;
+        let nt = Array.make (2 * b.len) 0 in
+        Array.blit b.ticks 0 nt 0 b.len;
+        b.ticks <- nt
       end;
       b.code.(b.len) <- i;
+      b.ticks.(b.len) <- tk;
       b.len <- b.len + 1;
       bump b i
+
+(* A statement entry: its tick becomes the pre-tick of the next
+   instruction emitted. *)
+let emit_tick b = b.pending <- b.pending + 1
 
 (* Emit a forward jump with a placeholder target; returns the patch site
    (the fused slot, when the jump merged into its predecessor). *)
@@ -1255,103 +1147,86 @@ let emit_patch b i =
   emit b i;
   b.len - 1
 
+(* The last [k] slots may be rewritten as one instruction: no label
+   lands after the first of them and no tick fires between them. A
+   label or a pre-tick on the first slot is fine — [rewind] hands that
+   pre-tick to the replacement. *)
+let run_ok b k =
+  let rec quiet j = j >= b.len || (b.ticks.(j) = 0 && quiet (j + 1)) in
+  b.len >= k && b.lastlab <= b.len - k && quiet (b.len - k + 1)
+
+(* Drop the last [k] slots; the next [emit] carries the first one's
+   pre-tick. *)
+let rewind b k =
+  b.len <- b.len - k;
+  b.pending <- b.ticks.(b.len)
+
 (* Collapse a settled [this->arr[ix]->f = rhs] statement tail into one
    [IThisIdxFieldStoreI] dispatch. Runs right after the statement's
    final store lands (and its pairwise fusions settle), so the tail
    shapes below are exactly what the disassembly shows for the hot
    dependency-edge stores. Every matched run is stack-neutral, so
-   [b.od]/[b.iod] need no rollback; a label is allowed only on the
-   first collapsed slot. *)
+   [b.od]/[b.iod] need no rollback. *)
 let fuse_this_idx_store b =
   let n = b.len in
-  if n >= 4 && b.lastlab < n - 3 then
-    match (b.code.(n - 4), b.code.(n - 3), b.code.(n - 2), b.code.(n - 1)) with
-    | ( (ITickThisField (s1, m1) | IThisField (s1, m1)),
-        ILoadIndexI i,
-        ILocFieldI (s2, m2),
-        IAssignFieldCIPop (ic, k) ) ->
-        let tk =
-          match b.code.(n - 4) with ITickThisField _ -> true | _ -> false
-        in
-        b.len <- n - 4;
-        emit b
-          (IThisIdxFieldStoreI (tk, s1, m1, IxLocal i, s2, m2, ic, RConst k))
-    | ( (ITickThisField (s1, m1) | IThisField (s1, m1)),
-        ILoadIndexI i,
-        ILocFieldI (s2, m2),
-        IAssignFieldLIPop (ic, j) ) ->
-        let tk =
-          match b.code.(n - 4) with ITickThisField _ -> true | _ -> false
-        in
-        b.len <- n - 4;
-        emit b
-          (IThisIdxFieldStoreI (tk, s1, m1, IxLocal i, s2, m2, ic, RLocal j))
-    | _ ->
-        if n >= 5 && b.lastlab < n - 4 then
-          match
-            ( b.code.(n - 5),
-              b.code.(n - 4),
-              b.code.(n - 3),
-              b.code.(n - 2),
-              b.code.(n - 1) )
-          with
-          | ( ITickThisField (s1, m1),
-              ILoadFieldI (j, s2, m2),
-              IIndexI,
-              ILocFieldI (s3, m3),
-              IAssignFieldLIPop (ic, i) ) ->
-              b.len <- n - 5;
-              emit b
-                (IThisIdxFieldStoreI
-                   (true, s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RLocal i))
-          | ( ITickThisField (s1, m1),
-              ILoadFieldI (j, s2, m2),
-              IIndexI,
-              ILocFieldI (s3, m3),
-              IAssignFieldCIPop (ic, k) ) ->
-              b.len <- n - 5;
-              emit b
-                (IThisIdxFieldStoreI
-                   (true, s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RConst k))
-          | _ ->
-              if n >= 9 && b.lastlab < n - 8 then
-                match
-                  ( b.code.(n - 9),
-                    b.code.(n - 8),
-                    b.code.(n - 7),
-                    b.code.(n - 6),
-                    b.code.(n - 5),
-                    b.code.(n - 4),
-                    b.code.(n - 3),
-                    b.code.(n - 2),
-                    b.code.(n - 1) )
-                with
-                | ( ITickThisField (s1, m1),
-                    ILoadFieldI (j, s2, m2),
-                    IIndexI,
-                    ILocFieldI (s3, m3),
-                    IThisField (s4, m4),
-                    ILoadFieldI (j2, s5, m5),
-                    IIndexFieldI (s6, m6),
-                    IBinopConstI (op, k),
-                    IAssignFieldIPop ic ) ->
-                    b.len <- n - 9;
-                    emit b
-                      (IThisIdxFieldStoreI
-                         ( true,
-                           s1,
-                           m1,
-                           IxLocField (j, s2, m2),
-                           s3,
-                           m3,
-                           ic,
-                           RThisIdxField
-                             (s4, m4, IxLocField (j2, s5, m5), s6, m6, op, k) ))
-                | _ -> ()
+  let at k = b.code.(n - k) in
+  let replace k i =
+    rewind b k;
+    emit b i
+  in
+  match if run_ok b 4 then (at 4, at 3, at 2, at 1) else (IPop, IPop, IPop, IPop) with
+  | IThisField (s1, m1), ILoadIndexI i, ILocFieldI (s2, m2), IAssignFieldCIPop (ic, k)
+    ->
+      replace 4 (IThisIdxFieldStoreI (s1, m1, IxLocal i, s2, m2, ic, RConst k))
+  | IThisField (s1, m1), ILoadIndexI i, ILocFieldI (s2, m2), IAssignFieldLIPop (ic, j)
+    ->
+      replace 4 (IThisIdxFieldStoreI (s1, m1, IxLocal i, s2, m2, ic, RLocal j))
+  | _ -> (
+      match
+        if run_ok b 5 then (at 5, at 4, at 3, at 2, at 1)
+        else (IPop, IPop, IPop, IPop, IPop)
+      with
+      | ( IThisField (s1, m1),
+          ILoadFieldI (j, s2, m2),
+          IIndexI,
+          ILocFieldI (s3, m3),
+          IAssignFieldLIPop (ic, i) ) ->
+          replace 5
+            (IThisIdxFieldStoreI
+               (s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RLocal i))
+      | ( IThisField (s1, m1),
+          ILoadFieldI (j, s2, m2),
+          IIndexI,
+          ILocFieldI (s3, m3),
+          IAssignFieldCIPop (ic, k) ) ->
+          replace 5
+            (IThisIdxFieldStoreI
+               (s1, m1, IxLocField (j, s2, m2), s3, m3, ic, RConst k))
+      | _ ->
+          if run_ok b 9 then
+            match (at 9, at 8, at 7, at 6, at 5, at 4, at 3, at 2, at 1) with
+            | ( IThisField (s1, m1),
+                ILoadFieldI (j, s2, m2),
+                IIndexI,
+                ILocFieldI (s3, m3),
+                IThisField (s4, m4),
+                ILoadFieldI (j2, s5, m5),
+                IIndexFieldI (s6, m6),
+                IBinopConstI (op, k),
+                IAssignFieldIPop ic ) ->
+                replace 9
+                  (IThisIdxFieldStoreI
+                     ( s1,
+                       m1,
+                       IxLocField (j, s2, m2),
+                       s3,
+                       m3,
+                       ic,
+                       RThisIdxField
+                         (s4, m4, IxLocField (j2, s5, m5), s6, m6, op, k) ))
+            | _ -> ())
 
-(* RPN decomposition of the opcodes allowed inside a fused int store.
-   Ticked variants are deliberately absent: the destination carries the
-   statement tick, and no other tick may move. *)
+(* RPN decomposition of the opcodes allowed inside a fused int store. *)
 let rpn_of_instr = function
   | IConstI k -> Some [ RpConst k ]
   | ILoadI i -> Some [ RpLocal i ]
@@ -1361,13 +1236,9 @@ let rpn_of_instr = function
       Some [ RpFieldIdxField (i, s, m, j, op, k, s2, m2) ]
   | IBinopII op -> Some [ RpBinop op ]
   | IBinopConstI (op, k) -> Some [ RpBinopConst (op, k) ]
-  | IBinopLoadFieldI (op, j, s, m) ->
-      Some [ RpBinop op; RpLoadField (j, s, m) ]
   | IThisFieldBinopI (s, m, op) -> Some [ RpThisField (s, m); RpBinop op ]
   | ILoadFieldBinopI (j, s, m, op) ->
       Some [ RpLoadField (j, s, m); RpBinop op ]
-  | ILoadFieldBCBinopI (n, s, m, op1, k, op2) ->
-      Some [ RpLoadField (n, s, m); RpBinopConst (op1, k); RpBinop op2 ]
   | ILoadFieldBCI (n, s, m, op, k) ->
       Some [ RpLoadField (n, s, m); RpBinopConst (op, k) ]
   | ILoadLoadFieldI (i, j, s, m) ->
@@ -1387,11 +1258,11 @@ let rpn_delta = function
    replaces the whole run. Fires only when it saves at least four
    dispatches, so the short statements keep their specialized
    superinstructions. The collapsed run is stack-neutral, so no depth
-   rollback; a label is allowed only on the first collapsed slot. *)
+   rollback. *)
 let fuse_rpn_store b =
   let n = b.len in
   match if n >= 1 then b.code.(n - 1) else IReturnUnit with
-  | IAssignFieldIPop ic ->
+  | IAssignFieldIPop ic -> (
       let rec walk p acc =
         if p < 1 || n - 1 - p > 16 then None
         else
@@ -1415,60 +1286,60 @@ let fuse_rpn_store b =
                 None
               else
                 match b.code.(p) with
-                | ITickLocFieldI (a, s, m) when b.lastlab <= p ->
-                    Some (p, DTickLocField (a, s, m), acc)
-                | ILocFieldI (s2, m2) when p >= 1 && b.lastlab <= p - 1 -> (
+                | ILoadLocFieldI (a, s, m) -> Some (p, DLocField (a, s, m), acc)
+                | ILocFieldI (s2, m2) -> (
                     match b.code.(p - 1) with
                     | ILoadFieldIndexI (a, s, m, i) ->
                         Some (p - 1, DFieldIdx (a, s, m, i, s2, m2), acc)
-                    | ITickLoadField (i, s, m) ->
-                        Some (p - 1, DTickFieldLocField (i, s, m, s2, m2), acc)
+                    | ILoadField (i, s, m) ->
+                        Some (p - 1, DFieldLocField (i, s, m, s2, m2), acc)
                     | _ -> None)
                 | _ -> None)
       in
-      if n >= 6 && b.lastlab < n - 1 then begin
-        match walk (n - 2) [] with
-        | Some (p, dst, ops) when n - p >= 5 ->
-            b.len <- p;
-            emit b (IRpnStoreI (dst, Array.of_list ops, ic))
-        | _ -> ()
-      end
+      match if n >= 6 then walk (n - 2) [] else None with
+      | Some (p, dst, ops) when n - p >= 5 && run_ok b (n - p) ->
+          rewind b (n - p);
+          emit b (IRpnStoreI (dst, Array.of_list ops, ic))
+      | _ -> ())
   | _ -> ()
 
 (* Store a boxed value into an int local, collapsing the
    [IBinopConst; ICastInt] coercion tail (the post-call shape) into the
    store when present. *)
 let emit_store_ib_pop b ty i =
-  if b.len >= 2 && b.lastlab < b.len - 1 then
-    match (b.code.(b.len - 2), b.code.(b.len - 1)) with
-    | IBinopConst (op, v), ICastInt ->
-        b.len <- b.len - 2;
-        emit b (IBinopConstCastStoreI (op, v, ty, i))
-    | _ -> emit b (IStoreLocalIBPop (ty, i))
-  else emit b (IStoreLocalIBPop (ty, i))
+  match
+    if run_ok b 2 then (b.code.(b.len - 2), b.code.(b.len - 1)) else (IPop, IPop)
+  with
+  | IBinopConst (op, v), ICastInt ->
+      rewind b 2;
+      emit b (IBinopConstCastStoreI (op, v, ty, i))
+  | _ -> emit b (IStoreLocalIBPop (ty, i))
 
 (* After an int-local store lands, collapse the dependency-chase shape
-   [tick?; push this->arr; push objlocal->idx; index-and-read ->field;
+   [push this->arr; push objlocal->idx; index-and-read ->field;
    store intlocal] into one [IThisFieldIdxFStoreI] dispatch. All four
    instructions are stack-neutral as a group, so no depth rollback is
    needed. *)
 let fuse_tfield_idx_store b =
-  let n = b.len - 1 in
-  if n >= 3 && b.lastlab <= n - 3 then
-    match (b.code.(n - 3), b.code.(n - 2), b.code.(n - 1), b.code.(n)) with
-    | ( (ITickThisField (s, m) | IThisField (s, m)),
+  let n = b.len in
+  if run_ok b 4 then
+    match (b.code.(n - 4), b.code.(n - 3), b.code.(n - 2), b.code.(n - 1)) with
+    | ( IThisField (s, m),
         ILoadFieldI (j, s2, m2),
         IIndexFieldI (s3, m3),
         IStoreLocalPopI (ic, i) ) ->
-        let lt =
-          match b.code.(n - 3) with ITickThisField _ -> true | _ -> false
-        in
-        b.len <- b.len - 4;
-        emit b (IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, false))
+        rewind b 4;
+        emit b (IThisFieldIdxFStoreI (s, m, j, s2, m2, s3, m3, ic, i))
     | _ -> ()
+
+(* Ticks still pending when a label is placed belong before it: jumpers
+   to the label must not run them, so they get an [ITick] slot of their
+   own. *)
+let flush_ticks b = if b.pending > 0 then emit b ITick
 
 (* Mark the frontier as a jump target (blocks fusion across it). *)
 let here b =
+  flush_ticks b;
   b.lastlab <- b.len;
   b.len
 
@@ -1477,80 +1348,59 @@ let patch_to (b : buf) (t : int) (i : int) =
     (match b.code.(i) with
     | IJump _ -> IJump t
     | IJumpIfFalse _ -> IJumpIfFalse t
-    | IJumpIfFalseT _ -> IJumpIfFalseT t
     | IJumpIfTrue _ -> IJumpIfTrue t
     | IJumpCmpFalse (op, _) -> IJumpCmpFalse (op, t)
-    | IJumpCmpFalseT (op, _) -> IJumpCmpFalseT (op, t)
     | IJumpCmpConstFalse (op, v, _) -> IJumpCmpConstFalse (op, v, t)
-    | IJumpCmpConstFalseT (op, v, _) -> IJumpCmpConstFalseT (op, v, t)
     | IJumpLocCmpConstFalse (n, op, v, _) -> IJumpLocCmpConstFalse (n, op, v, t)
-    | IJumpLocCmpConstFalseT (n, op, v, _) ->
-        IJumpLocCmpConstFalseT (n, op, v, t)
     | IJumpLocCmpFalse (op, n, _) -> IJumpLocCmpFalse (op, n, t)
-    | IJumpLocCmpFalseT (op, n, _) -> IJumpLocCmpFalseT (op, n, t)
     | IJumpLoc2CmpFalse (op, x, y, _) -> IJumpLoc2CmpFalse (op, x, y, t)
-    | IJumpLoc2CmpFalseT (op, x, y, _) -> IJumpLoc2CmpFalseT (op, x, y, t)
-    | ITickLoadFieldStoreJump (i, s, m, j, ty, _) ->
-        ITickLoadFieldStoreJump (i, s, m, j, ty, t)
+    | ILoadFieldStoreJump (i, s, m, j, ty, _) ->
+        ILoadFieldStoreJump (i, s, m, j, ty, t)
     | IStoreLocalPopJump (n, ty, _) -> IStoreLocalPopJump (n, ty, t)
     | IIncDecLocalJump (w, n, _) -> IIncDecLocalJump (w, n, t)
     | IAndFalse _ -> IAndFalse t
-    | ITickLoadFieldCmpLocFalse (n, s, m, op, y, _) ->
-        ITickLoadFieldCmpLocFalse (n, s, m, op, y, t)
-    | ITickLoadFieldCmpLocFalseT (n, s, m, op, y, _) ->
-        ITickLoadFieldCmpLocFalseT (n, s, m, op, y, t)
+    | ILoadFieldCmpLocFalse (n, s, m, op, y, _) ->
+        ILoadFieldCmpLocFalse (n, s, m, op, y, t)
     | IBinopConstAndFalse (op, v, _) -> IBinopConstAndFalse (op, v, t)
-    | IJumpIfFalseTPushScope (_, s) -> IJumpIfFalseTPushScope (t, s)
     | ILoadFieldBinopJumpFalse (n, s, m, op, _) ->
         ILoadFieldBinopJumpFalse (n, s, m, op, t)
-    | ILoadFieldBinopJumpFalseT (n, s, m, op, _) ->
-        ILoadFieldBinopJumpFalseT (n, s, m, op, t)
-    | IJumpBCCmpFalse (o1, v, o2, tk, _) -> IJumpBCCmpFalse (o1, v, o2, tk, t)
+    | IJumpBCCmpFalse (o1, v, o2, _) -> IJumpBCCmpFalse (o1, v, o2, t)
     | ILoadFieldBCAndFalse (n, s, m, op, v, _) ->
         ILoadFieldBCAndFalse (n, s, m, op, v, t)
     | IJumpLocFCmpFalse (i, j, s, m, op, _) ->
         IJumpLocFCmpFalse (i, j, s, m, op, t)
-    | IJumpLocFCmpFalseT (i, j, s, m, op, _) ->
-        IJumpLocFCmpFalseT (i, j, s, m, op, t)
     | IJumpLL2FBCCmpFalse (i, j, s, m, op1, v, op2, _) ->
         IJumpLL2FBCCmpFalse (i, j, s, m, op1, v, op2, t)
-    | IJumpLL2FBCCmpFalseT (i, j, s, m, op1, v, op2, _) ->
-        IJumpLL2FBCCmpFalseT (i, j, s, m, op1, v, op2, t)
     | IOrTrue _ -> IOrTrue t
     (* typed branch forms *)
-    | IJumpIfFalseI (tk, _) -> IJumpIfFalseI (tk, t)
+    | IJumpIfFalseI _ -> IJumpIfFalseI t
     | IJumpIfTrueI _ -> IJumpIfTrueI t
-    | IJumpIfFalseF (tk, _) -> IJumpIfFalseF (tk, t)
+    | IJumpIfFalseF _ -> IJumpIfFalseF t
     | IJumpIfTrueF _ -> IJumpIfTrueF t
     | IAndFalseI _ -> IAndFalseI t
     | IOrTrueI _ -> IOrTrueI t
-    | IJumpCmpFalseI (op, tk, _) -> IJumpCmpFalseI (op, tk, t)
-    | IJumpCmpConstFalseI (op, k, tk, _) -> IJumpCmpConstFalseI (op, k, tk, t)
-    | IJumpLocCmpConstFalseI (n, op, k, tk, _) ->
-        IJumpLocCmpConstFalseI (n, op, k, tk, t)
-    | IJumpLocCmpFalseI (op, n, tk, _) -> IJumpLocCmpFalseI (op, n, tk, t)
-    | IJumpLoc2CmpFalseI (op, x, y, tk, _) ->
-        IJumpLoc2CmpFalseI (op, x, y, tk, t)
-    | IJumpLocFCmpFalseI (i, j, s, m, op, tk, _) ->
-        IJumpLocFCmpFalseI (i, j, s, m, op, tk, t)
-    | IJumpBCCmpFalseI (o1, k, o2, tk, _) -> IJumpBCCmpFalseI (o1, k, o2, tk, t)
-    | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, _) ->
-        IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, tk, t)
-    | IBinopConstAndFalseI (op, k, _) -> IBinopConstAndFalseI (op, k, t)
+    | IJumpCmpFalseI (op, _) -> IJumpCmpFalseI (op, t)
+    | IJumpCmpConstFalseI (op, k, _) -> IJumpCmpConstFalseI (op, k, t)
+    | IJumpLocCmpConstFalseI (n, op, k, _) -> IJumpLocCmpConstFalseI (n, op, k, t)
+    | IJumpLocCmpFalseI (op, n, _) -> IJumpLocCmpFalseI (op, n, t)
+    | IJumpLoc2CmpFalseI (op, x, y, _) -> IJumpLoc2CmpFalseI (op, x, y, t)
+    | IJumpLocFCmpFalseI (i, j, s, m, op, _) ->
+        IJumpLocFCmpFalseI (i, j, s, m, op, t)
+    | IJumpBCCmpFalseI (o1, k, o2, _) -> IJumpBCCmpFalseI (o1, k, o2, t)
+    | IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, _) ->
+        IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, t)
     | ILoadFieldBCAndFalseI (n, s, m, op, k, _) ->
         ILoadFieldBCAndFalseI (n, s, m, op, k, t)
-    | IJumpLocTFCmpFalseI (op, x, s, m, tk, _) ->
-        IJumpLocTFCmpFalseI (op, x, s, m, tk, t)
-    | IJumpLocFieldBCFalseI (tp, n, s, m, op, k, ta, _) ->
-        IJumpLocFieldBCFalseI (tp, n, s, m, op, k, ta, t)
-    | ITLFIndexIStoreJumpFBCI (st, br, ta, _) ->
-        ITLFIndexIStoreJumpFBCI (st, br, ta, t)
-    | IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, _) ->
-        IJumpThisFieldBCFalseI (tp, s, m, op, k, ta, t)
-    | ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, _) ->
-        ITickLoadFieldCmpLocFalseI (n, s, m, op, y, tk, t)
-    | ILoadFieldBinopJumpFalseI (n, s, m, op, tk, _) ->
-        ILoadFieldBinopJumpFalseI (n, s, m, op, tk, t)
+    | IJumpLocTFCmpFalseI (op, x, s, m, _) -> IJumpLocTFCmpFalseI (op, x, s, m, t)
+    | IJumpLocFieldBCFalseI (n, s, m, op, k, _) ->
+        IJumpLocFieldBCFalseI (n, s, m, op, k, t)
+    | ITLFIndexIStoreJumpFBCI (st, br, _) -> ITLFIndexIStoreJumpFBCI (st, br, t)
+    | IJumpThisFieldBCFalseI (s, m, op, k, _) ->
+        IJumpThisFieldBCFalseI (s, m, op, k, t)
+    | ILoadFieldCmpLocFalseI (n, s, m, op, y, _) ->
+        ILoadFieldCmpLocFalseI (n, s, m, op, y, t)
+    | ILoadFieldBinopJumpFalseI (n, s, m, op, _) ->
+        ILoadFieldBinopJumpFalseI (n, s, m, op, t)
     | IStoreLocalPopJumpI (ic, n, _) -> IStoreLocalPopJumpI (ic, n, t)
     | IIncDecLocalJumpI (w, n, _) -> IIncDecLocalJumpI (w, n, t)
     | _ -> assert false)
@@ -1558,6 +1408,7 @@ let patch_to (b : buf) (t : int) (i : int) =
 (* Land the given patch sites on the frontier. *)
 let land_patches b sites =
   if sites <> [] then begin
+    flush_ticks b;
     let t = b.len in
     List.iter (patch_to b t) sites;
     b.lastlab <- b.len
@@ -1569,27 +1420,25 @@ let land_patches b sites =
    condition — folds the load too, deleting its slot. The fused
    instructions run the same [value_eq] / [compare_test] the tree engine
    ran, so errors are unchanged. Deleting a slot additionally requires
-   that no label lands on it. *)
+   that no label lands on it and no tick fires before it. *)
 let emit_branch_false b =
   if b.len > 0 && b.lastlab <> b.len then
     match b.code.(b.len - 1) with
     | IBinop op when is_cmp op -> (
-        match
-          if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
-        with
+        match if run_ok b 2 then b.code.(b.len - 2) else IReturnUnit with
         | ILoad y
-          when b.len >= 3 && b.lastlab < b.len - 2
+          when run_ok b 3
                && (match b.code.(b.len - 3) with ILoad _ -> true | _ -> false)
           ->
             (* [ILoad x; ILoad y; CMP]: the whole condition in one *)
             let x =
               match b.code.(b.len - 3) with ILoad x -> x | _ -> assert false
             in
-            b.len <- b.len - 3;
+            rewind b 3;
             b.od <- b.od - 1;  (* roll back +1 +1 -1 *)
             emit_patch b (IJumpLoc2CmpFalse (op, x, y, -1))
         | ILoad y ->
-            b.len <- b.len - 2;  (* roll back +1 -1 *)
+            rewind b 2;  (* roll back +1 -1 *)
             emit_patch b (IJumpLocCmpFalse (op, y, -1))
         | ILoadLoadField (x, y, s, m) ->
             (* [lx; ly.f; CMP]: the whole condition in one instruction *)
@@ -1598,8 +1447,7 @@ let emit_branch_false b =
             b.code.(b.len - 1) <- IJumpLocFCmpFalse (x, y, s, m, op, -1);
             b.len - 1
         | IBinopConst (op1, cv)
-          when b.len >= 3
-               && b.lastlab < b.len - 2
+          when run_ok b 3
                && match b.code.(b.len - 3) with
                   | ILoadLoadField _ -> true
                   | _ -> false -> (
@@ -1608,8 +1456,7 @@ let emit_branch_false b =
             | ILoadLoadField (x, y, s, m) ->
                 b.len <- b.len - 2;
                 b.od <- b.od - 1;  (* +2 0 -1 applied; the fused branch is 0 *)
-                b.code.(b.len - 1) <-
-                  IJumpLL2FBCCmpFalse (x, y, s, m, op1, cv, op, -1);
+                b.code.(b.len - 1) <- IJumpLL2FBCCmpFalse (x, y, s, m, op1, cv, op, -1);
                 b.len - 1
             | _ -> assert false)
         | IBinopConst (op1, cv) ->
@@ -1617,7 +1464,7 @@ let emit_branch_false b =
                branch (the scrutinee guard excludes a label here) *)
             b.len <- b.len - 1;
             b.od <- b.od - 1;  (* 0 -1 applied; the fused branch is -2 *)
-            b.code.(b.len - 1) <- IJumpBCCmpFalse (op1, cv, op, false, -1);
+            b.code.(b.len - 1) <- IJumpBCCmpFalse (op1, cv, op, -1);
             b.len - 1
         | _ ->
             b.code.(b.len - 1) <- IJumpCmpFalse (op, -1);
@@ -1630,14 +1477,11 @@ let emit_branch_false b =
         b.od <- b.od - 1;  (* +1 applied; the fused branch is net 0 *)
         b.len - 1
     | IBinopConst (op, v) when is_cmp op -> (
-        match
-          if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
-          else IReturnUnit
-        with
+        match if run_ok b 2 then b.code.(b.len - 2) else IReturnUnit with
         | ILoad n ->
             (* roll back [ILoad; IBinopConst] (net +1); the fused branch
                is net 0 *)
-            b.len <- b.len - 2;
+            rewind b 2;
             b.od <- b.od - 1;
             emit_patch b (IJumpLocCmpConstFalse (n, op, v, -1))
         | _ ->
@@ -1648,36 +1492,33 @@ let emit_branch_false b =
   else emit_patch b (IJumpIfFalse (-1))
 
 (* The typed image of [emit_branch_false] for an int-shaped condition:
-   same folds, same label guards, with the depth bookkeeping on the
-   untagged int stack. *)
+   same folds, same label and tick guards, with the depth bookkeeping on
+   the untagged int stack. *)
 let emit_branch_false_i b =
   if b.len > 0 && b.lastlab <> b.len then
     match b.code.(b.len - 1) with
     | IBinopII op when is_cmp op -> (
-        match
-          if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
-        with
+        match if run_ok b 2 then b.code.(b.len - 2) else IReturnUnit with
         | ILoadI y
-          when b.len >= 3 && b.lastlab < b.len - 2
+          when run_ok b 3
                && (match b.code.(b.len - 3) with ILoadI _ -> true | _ -> false)
           ->
             let x =
               match b.code.(b.len - 3) with ILoadI x -> x | _ -> assert false
             in
-            b.len <- b.len - 3;
+            rewind b 3;
             b.iod <- b.iod - 1;
-            emit_patch b (IJumpLoc2CmpFalseI (op, x, y, false, -1))
+            emit_patch b (IJumpLoc2CmpFalseI (op, x, y, -1))
         | ILoadI y ->
-            b.len <- b.len - 2;
-            emit_patch b (IJumpLocCmpFalseI (op, y, false, -1))
+            rewind b 2;
+            emit_patch b (IJumpLocCmpFalseI (op, y, -1))
         | ILoadLoadFieldI (x, y, s, m) ->
             b.len <- b.len - 1;
             b.iod <- b.iod - 1;
-            b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, false, -1);
+            b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, -1);
             b.len - 1
         | IBinopConstI (op1, k)
-          when b.len >= 3
-               && b.lastlab < b.len - 2
+          when run_ok b 3
                && match b.code.(b.len - 3) with
                   | ILoadLoadFieldI _ -> true
                   | _ -> false -> (
@@ -1686,106 +1527,93 @@ let emit_branch_false_i b =
                 b.len <- b.len - 2;
                 b.iod <- b.iod - 1;
                 b.code.(b.len - 1) <-
-                  IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, false, -1);
+                  IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op, -1);
                 b.len - 1
             | _ -> assert false)
         | IBinopConstI (op1, k) ->
             b.len <- b.len - 1;
             b.iod <- b.iod - 1;
-            b.code.(b.len - 1) <- IJumpBCCmpFalseI (op1, k, op, false, -1);
+            b.code.(b.len - 1) <- IJumpBCCmpFalseI (op1, k, op, -1);
             b.len - 1
         | _ ->
-            b.code.(b.len - 1) <- IJumpCmpFalseI (op, false, -1);
+            b.code.(b.len - 1) <- IJumpCmpFalseI (op, -1);
             b.iod <- b.iod - 1;
             b.len - 1)
     | ILoadBinopConstI (n, op, k) when is_cmp op ->
-        b.code.(b.len - 1) <- IJumpLocCmpConstFalseI (n, op, k, false, -1);
+        b.code.(b.len - 1) <- IJumpLocCmpConstFalseI (n, op, k, -1);
         b.iod <- b.iod - 1;
         b.len - 1
     | IBinopConstI (op, k) when is_cmp op -> (
-        match
-          if b.len >= 2 && b.lastlab < b.len - 1 then b.code.(b.len - 2)
-          else IReturnUnit
-        with
+        match if run_ok b 2 then b.code.(b.len - 2) else IReturnUnit with
         | ILoadI n ->
-            b.len <- b.len - 2;
+            rewind b 2;
             b.iod <- b.iod - 1;
-            emit_patch b (IJumpLocCmpConstFalseI (n, op, k, false, -1))
+            emit_patch b (IJumpLocCmpConstFalseI (n, op, k, -1))
         | ILoadFieldI (n, s, m) -> (
-            (* a preceding indexed-load statement fuses in too: the
-               list-walk loops test a member of the object the previous
-               statement just fetched *)
+            (* a preceding indexed-load statement fuses in too, with the
+               guard statement's one tick between them: the list-walk
+               loops test a member of the object the previous statement
+               just fetched *)
             match
-              if b.len >= 3 && b.lastlab < b.len - 2 then b.code.(b.len - 3)
+              if b.len >= 3 && b.lastlab <= b.len - 3 && b.ticks.(b.len - 2) = 1
+              then b.code.(b.len - 3)
               else IReturnUnit
             with
-            | ITLFIndexIStoreT (a, s0, m0, i0, x0, ty0) ->
-                b.len <- b.len - 3;
+            | ILoadFieldIndexStoreI (a, s0, m0, i0, x0, ty0) ->
+                rewind b 3;
                 b.iod <- b.iod - 1;
                 emit_patch b
                   (ITLFIndexIStoreJumpFBCI
-                     ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), false, -1))
+                     ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), -1))
             | _ ->
-                b.len <- b.len - 2;
+                rewind b 2;
                 b.iod <- b.iod - 1;
-                emit_patch b
-                  (IJumpLocFieldBCFalseI (false, n, s, m, op, k, false, -1)))
-        | ITickLoadFieldI (n, s, m) ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpLocFieldBCFalseI (true, n, s, m, op, k, false, -1))
+                emit_patch b (IJumpLocFieldBCFalseI (n, s, m, op, k, -1)))
         | IThisFieldI (s, m) ->
-            b.len <- b.len - 2;
+            rewind b 2;
             b.iod <- b.iod - 1;
-            emit_patch b (IJumpThisFieldBCFalseI (false, s, m, op, k, false, -1))
-        | ITickThisFieldI (s, m) ->
-            b.len <- b.len - 2;
-            b.iod <- b.iod - 1;
-            emit_patch b (IJumpThisFieldBCFalseI (true, s, m, op, k, false, -1))
+            emit_patch b (IJumpThisFieldBCFalseI (s, m, op, k, -1))
         | _ ->
-            b.code.(b.len - 1) <- IJumpCmpConstFalseI (op, k, false, -1);
+            b.code.(b.len - 1) <- IJumpCmpConstFalseI (op, k, -1);
             b.iod <- b.iod - 1;
             b.len - 1)
     | ILoadBinopI (op, y) when is_cmp op -> (
         (* eager fusion already folded [ILoadI y; CMP]; recover the
            local-compare branches it used to feed *)
-        match
-          if b.lastlab < b.len - 1 then b.code.(b.len - 2) else IReturnUnit
-        with
+        match if run_ok b 2 then b.code.(b.len - 2) else IReturnUnit with
         | ILoadI x ->
-            b.len <- b.len - 2;
+            rewind b 2;
             b.iod <- b.iod - 1;
-            emit_patch b (IJumpLoc2CmpFalseI (op, x, y, false, -1))
+            emit_patch b (IJumpLoc2CmpFalseI (op, x, y, -1))
         | _ ->
             (* re-emit (rather than replace in place) so the branch can
                still fuse with its new predecessor, e.g. into
-               [ITickLoadFieldCmpLocFalseI] *)
-            b.len <- b.len - 1;
-            emit_patch b (IJumpLocCmpFalseI (op, y, false, -1)))
+               [ILoadFieldCmpLocFalseI] *)
+            rewind b 1;
+            emit_patch b (IJumpLocCmpFalseI (op, y, -1)))
     | ILoadLoadFieldBinopI (x, y, s, m, op) when is_cmp op ->
-        b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, false, -1);
+        b.code.(b.len - 1) <- IJumpLocFCmpFalseI (x, y, s, m, op, -1);
         b.iod <- b.iod - 1;
         b.len - 1
     | IThisFieldBinopI (s, m, op)
-      when is_cmp op && b.len >= 2
-           && b.lastlab < b.len - 1
+      when is_cmp op && run_ok b 2
            && (match b.code.(b.len - 2) with ILoadI _ -> true | _ -> false) ->
         (* [local CMP this.f] — the canonical [i < this->n] loop guard *)
         let x =
           match b.code.(b.len - 2) with ILoadI x -> x | _ -> assert false
         in
-        b.len <- b.len - 2;
+        rewind b 2;
         b.iod <- b.iod - 1;
-        emit_patch b (IJumpLocTFCmpFalseI (op, x, s, m, false, -1))
-    | _ -> emit_patch b (IJumpIfFalseI (false, -1))
-  else emit_patch b (IJumpIfFalseI (false, -1))
+        emit_patch b (IJumpLocTFCmpFalseI (op, x, s, m, -1))
+    | _ -> emit_patch b (IJumpIfFalseI (-1))
+  else emit_patch b (IJumpIfFalseI (-1))
 
 (* Branch on a falsy condition whose compiled shape is [sh]. *)
 let emit_cond_false b (sh : shape) =
   match sh with
   | SBox -> emit_branch_false b
   | SInt -> emit_branch_false_i b
-  | SFlt -> emit_patch b (IJumpIfFalseF (false, -1))
+  | SFlt -> emit_patch b (IJumpIfFalseF (-1))
 
 (* Move the top of a typed stack over to the boxed stack. *)
 let box_top b (sh : shape) =
@@ -2130,8 +1958,7 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
           (* [this->dst = xform(this->src)]: fold the whole statement
              into one dispatch (the PRNG-step shape in hot loops) *)
           let fused =
-            (not keep) && b.len >= 3
-            && b.lastlab < b.len - 2
+            (not keep) && run_ok b 3
             &&
             match
               (b.code.(b.len - 3), b.code.(b.len - 2), b.code.(b.len - 1))
@@ -2139,18 +1966,18 @@ and compile_assign b (lhs : rlval) rhs ty ~keep : shape =
             | ( IThisLocFieldI (sd, md),
                 IThisFieldI (ss, ms),
                 IBinopConst3I (o1, k1, o2, k2, o3, k3) ) ->
-                b.len <- b.len - 3;
+                rewind b 3;
                 b.od <- b.od - 1;
                 b.iod <- b.iod - 2;
                 emit b
                   (IThisXAssignI
-                     (0, sd, md, ss, ms, XBc3 (o1, k1, o2, k2, o3, k3), ic));
+                     (sd, md, ss, ms, XBc3 (o1, k1, o2, k2, o3, k3), ic));
                 true
             | IThisLocFieldI (sd, md), IThisFieldI (ss, ms), IUnaryI op ->
-                b.len <- b.len - 3;
+                rewind b 3;
                 b.od <- b.od - 1;
                 b.iod <- b.iod - 2;
-                emit b (IThisXAssignI (0, sd, md, ss, ms, XUn op, ic));
+                emit b (IThisXAssignI (sd, md, ss, ms, XUn op, ic));
                 true
             | _ -> false
           in
@@ -2442,7 +2269,7 @@ and compile_expr_stmt b (e : rexpr) =
       | SFlt -> emit b IPopF)
 
 and compile_stmt b (lc : loopctx option) (s : rstmt) =
-  emit b ITick;
+  emit_tick b;
   match s with
   | RSExpr e -> compile_expr_stmt b e
   | RSDecl ds -> List.iter (compile_decl b) ds
@@ -2513,14 +2340,13 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
   | RSReturn (Some e) -> (
       compile_expr_box b e;
       (* [return this->f] on an int member compiles to
-         [ITickThisFieldI; IBoxI]; fold the box and the return in *)
+         [IThisFieldI; IBoxI]; fold the box and the return in *)
       match
-        if b.len >= 2 && b.lastlab < b.len - 1 then
-          (b.code.(b.len - 2), b.code.(b.len - 1))
+        if run_ok b 2 then (b.code.(b.len - 2), b.code.(b.len - 1))
         else (IReturnUnit, IReturnUnit)
       with
-      | ITickThisFieldI (s, m), IBoxI ->
-          b.len <- b.len - 2;
+      | IThisFieldI (s, m), IBoxI ->
+          rewind b 2;
           b.od <- b.od - 1;
           emit b (IReturnThisFieldI (s, m))
       | _ -> emit b IReturn)
@@ -2545,88 +2371,80 @@ and compile_stmt b (lc : loopctx option) (s : rstmt) =
 
 let finish (b : buf) : cbody =
   let code = Array.sub b.code 0 b.len in
+  let ticks = Array.sub b.ticks 0 b.len in
+  let n = Array.length code in
   (* Branch-target inlining, after all patching: a list-scan loop runs
      [guard -> (false edge) -> step -> back edge] with the step only
      *jump*-adjacent to the guard, so emit-time fusion can never see
      the pair. Replicate the step into the guard's false arm instead;
      the step's slot stays for the fall-in (then-branch) path. The tick
      and error sequence of the combined arm is the exact concatenation
-     of the two instructions. *)
+     of the two instructions: the false arm runs the step's one
+     pre-tick itself, and both exits re-enter the dispatch loop, which
+     runs their targets' pre-ticks. *)
   Array.iteri
     (fun i ins ->
       match ins with
-      | ITickLoadFieldCmpLocFalseT (j, s, m, op, n, texit)
-        when texit >= 0 && texit < Array.length code -> (
+      | ILoadFieldCmpLocFalse (j, s, m, op, k, texit)
+        when texit >= 0 && texit < n && ticks.(texit) = 1 -> (
           match code.(texit) with
-          | ITickLoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
-              code.(i) <-
-                IScanStep (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
+          | ILoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
+              code.(i) <- IScanStep (j, s, m, op, k, a, s2, m2, bdst, ty, tback)
           | _ -> ())
-      | _ -> ())
-    code;
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | IJumpLocCmpConstFalseT (x, op0, v0, texit0)
-        when i + 1 < Array.length code -> (
-          match code.(i + 1) with
-          | IScanStep (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
-            when tback = i ->
-              code.(i) <-
-                ILoopScan
-                  (x, op0, v0, texit0, j, s, m, op, n, a, s2, m2, bdst, ty)
-          | _ -> ())
-      | _ -> ())
-    code;
-  (* The typed images of the two scan peepholes: an int guard member
-     with a boxed (pointer) step member. *)
-  Array.iteri
-    (fun i ins ->
-      match ins with
-      | ITickLoadFieldCmpLocFalseI (j, s, m, op, n, true, texit)
-        when texit >= 0 && texit < Array.length code -> (
+      | ILoadFieldCmpLocFalseI (j, s, m, op, k, texit)
+        when texit >= 0 && texit < n && ticks.(texit) = 1 -> (
+          (* the typed image: an int guard member with a boxed (pointer)
+             step member *)
           match code.(texit) with
-          | ITickLoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
-              code.(i) <-
-                IScanStepI (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
+          | ILoadFieldStoreJump (a, s2, m2, bdst, ty, tback) ->
+              code.(i) <- IScanStepI (j, s, m, op, k, a, s2, m2, bdst, ty, tback)
           | _ -> ())
       | _ -> ())
     code;
+  (* Whole scan loops: a guard [local CMP const] with no pre-tick of its
+     own, immediately followed by an [IScanStep] whose back edge is the
+     guard and which carries two pre-ticks (the loop body's and its
+     first statement's). The loop arm runs those two ticks per
+     iteration itself. *)
   Array.iteri
     (fun i ins ->
-      match ins with
-      | IJumpLocCmpConstFalseI (x, op0, k0, true, texit0)
-        when i + 1 < Array.length code -> (
-          match code.(i + 1) with
-          | IScanStepI (j, s, m, op, n, a, s2, m2, bdst, ty, tback)
-            when tback = i ->
-              code.(i) <-
-                ILoopScanI
-                  (x, op0, k0, texit0, j, s, m, op, n, a, s2, m2, bdst, ty)
-          | _ -> ())
-      | _ -> ())
+      if i + 1 < n && ticks.(i) = 0 && ticks.(i + 1) = 2 then
+        match (ins, code.(i + 1)) with
+        | ( IJumpLocCmpConstFalse (x, op0, v0, texit0),
+            IScanStep (j, s, m, op, k, a, s2, m2, bdst, ty, tback) )
+          when tback = i ->
+            code.(i) <-
+              ILoopScan (x, op0, v0, texit0, j, s, m, op, k, a, s2, m2, bdst, ty)
+        | ( IJumpLocCmpConstFalseI (x, op0, k0, texit0),
+            IScanStepI (j, s, m, op, k, a, s2, m2, bdst, ty, tback) )
+          when tback = i ->
+            code.(i) <-
+              ILoopScanI (x, op0, k0, texit0, j, s, m, op, k, a, s2, m2, bdst, ty)
+        | _ -> ())
     code;
   (* Back-edge guard inlining: a counted loop runs
      [guard -> body -> inc-and-jump-to-guard]; replicate the guard into
      the back edge so each iteration costs one dispatch less. The guard
-     slot stays for the fall-in (loop entry) path. *)
+     slot stays for the fall-in (loop entry) path. A guard at a loop
+     head carries no pre-tick ([here] parks pending ticks before the
+     label), which the copy relies on. *)
   Array.iteri
     (fun i ins ->
       match ins with
-      | IIncDecLocalJumpI (w, n, t) when t >= 0 && t < Array.length code -> (
+      | IIncDecLocalJumpI (w, k, t) when t >= 0 && t < n && ticks.(t) = 0 -> (
           match code.(t) with
-          | IJumpLocFCmpFalseI (x, y, s, m, op, tk, texit) ->
+          | IJumpLocFCmpFalseI (x, y, s, m, op, texit) ->
               code.(i) <-
-                IIncDecJumpLocFCmpI (w, n, (x, y, s, m, op, tk, texit), t + 1)
-          | IJumpLL2FBCCmpFalseI (x, y, s, m, op1, k, op2, tk, texit) ->
+                IIncDecJumpLocFCmpI (w, k, (x, y, s, m, op, texit), t + 1)
+          | IJumpLL2FBCCmpFalseI (x, y, s, m, op1, c, op2, texit) ->
               code.(i) <-
-                IIncDecJumpLL2FBCI
-                  (w, n, (x, y, s, m, op1, k, op2, tk, texit), t + 1)
+                IIncDecJumpLL2FBCI (w, k, (x, y, s, m, op1, c, op2, texit), t + 1)
           | _ -> ())
       | _ -> ())
     code;
   {
     b_code = code;
+    b_ticks = ticks;
     b_omax = b.omax + 8;  (* slack over the conservative linear estimate *)
     b_imax = (if b.iomax = 0 then 0 else b.iomax + 8);
     b_fmax = (if b.fomax = 0 then 0 else b.fomax + 8);
@@ -2855,24 +2673,17 @@ let fresh_obj_id vm =
 
 (* Reached every [deadline_check_interval] steps, or past the step
    limit — never on the per-step fast path (same scheme, and so the
-   same raising step counts, as the tree engine). *)
+   same raising step counts, as the tree engine). The steps may have
+   been added in a batch (a slot's pre-ticks): the raising tick still
+   leaves the count the tree engine did. *)
 let[@inline never] slow_tick vm =
-  if vm.steps > vm.step_limit then
-    limit_exceeded "step limit exceeded (%d): possible non-termination"
-      vm.step_limit;
-  check_deadline ();
-  vm.next_stop <- min vm.step_limit (vm.steps + deadline_check_interval)
-
-(* [ITickN]'s cold half: [s] is the already-batched step count. *)
-let[@inline never] slow_tick_n vm s =
-  if s > vm.step_limit then begin
-    (* the raising tick leaves the same count the tree engine did *)
+  if vm.steps > vm.step_limit then begin
     vm.steps <- vm.step_limit + 1;
     limit_exceeded "step limit exceeded (%d): possible non-termination"
       vm.step_limit
   end;
   check_deadline ();
-  vm.next_stop <- min vm.step_limit (s + deadline_check_interval)
+  vm.next_stop <- min vm.step_limit (vm.steps + deadline_check_interval)
 
 let[@inline] tick vm =
   vm.steps <- vm.steps + 1;
@@ -3264,6 +3075,7 @@ and exec_builtin vm (ost : value array) base (b : builtin) argc : unit =
 
 and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
   let code = b.b_code in
+  let ticks = b.b_ticks in
   let ost = if b.b_omax > 0 then Array.make b.b_omax VUnit else empty_vals in
   (* Untagged operand stacks: int and float operands live here, never
      boxed; purely generic bodies keep both bounds at 0 and share the
@@ -3282,11 +3094,13 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
   let rec loop pc sp isp fsp : value =
     if profiling then
       Array.unsafe_set prow pc (Array.unsafe_get prow pc + 1);
+    let n = Array.unsafe_get ticks pc in
+    if n <> 0 then begin
+      vm.steps <- vm.steps + n;
+      if vm.steps > vm.next_stop then slow_tick vm
+    end;
     match Array.unsafe_get code pc with
-    | ITick ->
-        vm.steps <- vm.steps + 1;
-        if vm.steps > vm.next_stop then slow_tick vm;
-        loop (pc + 1) sp isp fsp
+    | ITick -> loop (pc + 1) sp isp fsp
     | IConst v ->
         ost.(sp) <- v;
         loop (pc + 1) (sp + 1) isp fsp
@@ -3679,15 +3493,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj (Array.get locals i) in
         ost.(sp) <- o.fields.cells.(field_slot o slots m);
         loop (pc + 1) (sp + 1) isp fsp
-    | ITickLoad i ->
-        tick vm;
-        ost.(sp) <- Array.get locals i;
-        loop (pc + 1) (sp + 1) isp fsp
-    | ITickLoadField (i, slots, m) ->
-        tick vm;
-        let o = as_obj (Array.get locals i) in
-        ost.(sp) <- o.fields.cells.(field_slot o slots m);
-        loop (pc + 1) (sp + 1) isp fsp
     | IThisField (slots, m) ->
         (match frame.this with
         | Some o -> ost.(sp) <- o.fields.cells.(field_slot o slots m)
@@ -3753,86 +3558,35 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | IBinopConst (op, v) ->
         ost.(sp - 1) <- binop op ost.(sp - 1) v;
         loop (pc + 1) sp isp fsp
-    | ITickN n ->
-        let s = vm.steps + n in
-        if s > vm.next_stop then slow_tick_n vm s;
-        vm.steps <- s;
-        loop (pc + 1) sp isp fsp
-    | ITickPushScope slots ->
-        tick vm;
-        scopes := slots :: !scopes;
-        loop (pc + 1) sp isp fsp
     | IAssignPop ty ->
         let v = coerce ty ost.(sp - 1) in
         loc_write ost.(sp - 2) v;
         loop (pc + 1) (sp - 2) isp fsp
-    | IStoreLocalPopT (i, ty) ->
-        Array.set locals i (coerce ty ost.(sp - 1));
-        tick vm;
-        loop (pc + 1) (sp - 1) isp fsp
     | IStoreLocalPopJump (i, ty, t) ->
         Array.set locals i (coerce ty ost.(sp - 1));
         loop t (sp - 1) isp fsp
     | IIncDecLocalJump (w, i, t) ->
         Array.set locals i (incdec_new w (Array.get locals i));
         loop t sp isp fsp
-    | IJumpIfFalseT t ->
-        if truthy ost.(sp - 1) then begin
-          tick vm;
-          loop (pc + 1) (sp - 1) isp fsp
-        end
-        else loop t (sp - 1) isp fsp
-    | IJumpCmpFalseT (op, t) ->
-        if cmp_test op ost.(sp - 2) ost.(sp - 1) then begin
-          tick vm;
-          loop (pc + 1) (sp - 2) isp fsp
-        end
-        else loop t (sp - 2) isp fsp
     | IJumpCmpConstFalse (op, v, t) ->
         if cmp_test op ost.(sp - 1) v then loop (pc + 1) (sp - 1) isp fsp
         else loop t (sp - 1) isp fsp
-    | IJumpCmpConstFalseT (op, v, t) ->
-        if cmp_test op ost.(sp - 1) v then begin
-          tick vm;
-          loop (pc + 1) (sp - 1) isp fsp
-        end
-        else loop t (sp - 1) isp fsp
     | IJumpLocCmpConstFalse (i, op, v, t) ->
         if cmp_test op (Array.get locals i) v then loop (pc + 1) sp isp fsp
-        else loop t sp isp fsp
-    | IJumpLocCmpConstFalseT (i, op, v, t) ->
-        if cmp_test op (Array.get locals i) v then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
         else loop t sp isp fsp
     | IJumpLocCmpFalse (op, i, t) ->
         if cmp_test op ost.(sp - 1) (Array.get locals i) then
           loop (pc + 1) (sp - 1) isp fsp
         else loop t (sp - 1) isp fsp
-    | IJumpLocCmpFalseT (op, i, t) ->
-        if cmp_test op ost.(sp - 1) (Array.get locals i) then begin
-          tick vm;
-          loop (pc + 1) (sp - 1) isp fsp
-        end
-        else loop t (sp - 1) isp fsp
     | IJumpLoc2CmpFalse (op, x, y, t) ->
         if cmp_test op (Array.get locals x) (Array.get locals y) then
           loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpLoc2CmpFalseT (op, x, y, t) ->
-        if cmp_test op (Array.get locals x) (Array.get locals y) then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
-        else loop t sp isp fsp
-    | ITickLoadFieldStore (i, slots, m, j, ty) ->
-        tick vm;
+    | ILoadFieldStore (i, slots, m, j, ty) ->
         let o = as_obj (Array.get locals i) in
         Array.set locals j (coerce ty o.fields.cells.(field_slot o slots m));
         loop (pc + 1) sp isp fsp
-    | ITickLoadFieldStoreJump (i, slots, m, j, ty, t) ->
-        tick vm;
+    | ILoadFieldStoreJump (i, slots, m, j, ty, t) ->
         let o = as_obj (Array.get locals i) in
         Array.set locals j (coerce ty o.fields.cells.(field_slot o slots m));
         loop t sp isp fsp
@@ -3865,17 +3619,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let v = coerce ty (binop op ost.(sp - 2) ost.(sp - 1)) in
         loc_write ost.(sp - 3) v;
         loop (pc + 1) (sp - 3) isp fsp
-    | ITickThisField (slots, m) ->
-        tick vm;
-        (match frame.this with
-        | Some o -> ost.(sp) <- o.fields.cells.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
-        loop (pc + 1) (sp + 1) isp fsp
-    | ILoad2FieldBinop (i, j, slots, m, op) ->
-        let o = as_obj (Array.get locals j) in
-        ost.(sp) <-
-          binop op (Array.get locals i) o.fields.cells.(field_slot o slots m);
-        loop (pc + 1) (sp + 1) isp fsp
     | ILoadLoadField (i, j, slots, m) ->
         ost.(sp) <- Array.get locals i;
         let o = as_obj (Array.get locals j) in
@@ -3893,35 +3636,22 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj (Array.get locals j) in
         ost.(sp - 1) <- o.fields.cells.(field_slot o slots m);
         loop (pc + 1) sp isp fsp
-    | ITickLoadFieldIndex (a, slots, m, i) ->
-        tick vm;
+    | ILoadFieldIndex (a, slots, m, i) ->
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o slots m) in
         let iv = as_int (Array.get locals i) in
         ost.(sp) <- index_read av iv;
         loop (pc + 1) (sp + 1) isp fsp
-    | ITLFIndexStoreT (a, slots, m, i, x, ty) ->
-        tick vm;
+    | ILoadFieldIndexStore (a, slots, m, i, x, ty) ->
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o slots m) in
         let iv = as_int (Array.get locals i) in
         Array.set locals x (coerce ty (index_read av iv));
-        tick vm;
         loop (pc + 1) sp isp fsp
-    | ITickLoadFieldCmpLocFalse (j, slots, m, op, n, t) ->
-        tick vm;
+    | ILoadFieldCmpLocFalse (j, slots, m, op, n, t) ->
         let o = as_obj (Array.get locals j) in
         if cmp_test op o.fields.cells.(field_slot o slots m) (Array.get locals n)
         then loop (pc + 1) sp isp fsp
-        else loop t sp isp fsp
-    | ITickLoadFieldCmpLocFalseT (j, slots, m, op, n, t) ->
-        tick vm;
-        let o = as_obj (Array.get locals j) in
-        if cmp_test op o.fields.cells.(field_slot o slots m) (Array.get locals n)
-        then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
         else loop t sp isp fsp
     | IBinopConstAndFalse (op, v, t) ->
         if truthy (binop op ost.(sp - 1) v) then loop (pc + 1) (sp - 1) isp fsp
@@ -3929,32 +3659,14 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           ost.(sp - 1) <- VInt 0;
           loop t sp isp fsp
         end
-    | IJumpIfFalseTPushScope (t, slots) ->
-        if truthy ost.(sp - 1) then begin
-          tick vm;
-          scopes := slots :: !scopes;
-          loop (pc + 1) (sp - 1) isp fsp
-        end
-        else loop t (sp - 1) isp fsp
     | ILoadFieldBinopJumpFalse (i, slots, m, op, t) ->
         let o = as_obj (Array.get locals i) in
         if truthy (binop op ost.(sp - 1) o.fields.cells.(field_slot o slots m))
         then loop (pc + 1) (sp - 1) isp fsp
         else loop t (sp - 1) isp fsp
-    | ILoadFieldBinopJumpFalseT (i, slots, m, op, t) ->
-        let o = as_obj (Array.get locals i) in
-        if truthy (binop op ost.(sp - 1) o.fields.cells.(field_slot o slots m))
-        then begin
-          tick vm;
-          loop (pc + 1) (sp - 1) isp fsp
-        end
-        else loop t (sp - 1) isp fsp
-    | IJumpBCCmpFalse (op1, v, op2, tk, t) ->
+    | IJumpBCCmpFalse (op1, v, op2, t) ->
         let rhs = binop op1 ost.(sp - 1) v in
-        if cmp_test op2 ost.(sp - 2) rhs then begin
-          if tk then tick vm;
-          loop (pc + 1) (sp - 2) isp fsp
-        end
+        if cmp_test op2 ost.(sp - 2) rhs then loop (pc + 1) (sp - 2) isp fsp
         else loop t (sp - 2) isp fsp
     | IBinopLoadField (op, j, slots, m) ->
         ost.(sp - 2) <- binop op ost.(sp - 2) ost.(sp - 1);
@@ -3988,12 +3700,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         in
         loc_write ost.(sp - 4) v;
         loop (pc + 1) (sp - 4) isp fsp
-    | IConstFieldBinop2 (v, i, slots, m, op1, op2) ->
-        let o = as_obj (Array.get locals i) in
-        ost.(sp - 1) <-
-          binop op2 ost.(sp - 1)
-            (binop op1 v o.fields.cells.(field_slot o slots m));
-        loop (pc + 1) sp isp fsp
     | ILoadLocFieldLoadField (i, slots, m, j, s2, m2) ->
         let o = as_obj (Array.get locals i) in
         ost.(sp) <- VPtr (PArr (o.fields, field_slot o slots m));
@@ -4013,35 +3719,15 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         if cmp_test op (Array.get locals i) o.fields.cells.(field_slot o slots m)
         then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpLocFCmpFalseT (i, j, slots, m, op, t) ->
-        let o = as_obj (Array.get locals j) in
-        if cmp_test op (Array.get locals i) o.fields.cells.(field_slot o slots m)
-        then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
-        else loop t sp isp fsp
     | IJumpLL2FBCCmpFalse (i, j, slots, m, op1, v, op2, t) ->
         let o = as_obj (Array.get locals j) in
         let rhs = binop op1 o.fields.cells.(field_slot o slots m) v in
         if cmp_test op2 (Array.get locals i) rhs then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpLL2FBCCmpFalseT (i, j, slots, m, op1, v, op2, t) ->
-        let o = as_obj (Array.get locals j) in
-        let rhs = binop op1 o.fields.cells.(field_slot o slots m) v in
-        if cmp_test op2 (Array.get locals i) rhs then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
-        else loop t sp isp fsp
     | IScanStep (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
-        tick vm;
         let o = as_obj (Array.get locals j) in
         if cmp_test op o.fields.cells.(field_slot o slots m) (Array.get locals n)
-        then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        then loop (pc + 1) sp isp fsp
         else begin
           tick vm;
           let o2 = as_obj (Array.get locals a) in
@@ -4060,10 +3746,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               cmp_test op
                 o.fields.cells.(field_slot o slots m)
                 (Array.get locals n)
-            then begin
-              tick vm;
-              -1
-            end
+            then -1
             else begin
               tick vm;
               let o2 = as_obj (Array.get locals a) in
@@ -4125,16 +3808,9 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
     | ILoadIB i ->
         ost.(sp) <- vint (Array.unsafe_get ilocals i);
         loop (pc + 1) (sp + 1) isp fsp
-    | ILoadFB i ->
-        ost.(sp) <- VFloat (Array.unsafe_get flocals i);
-        loop (pc + 1) (sp + 1) isp fsp
     | ILoadFieldIB (i, slots, m) ->
         let o = as_obj (Array.get locals i) in
         ost.(sp) <- vint o.ifields.(field_slot o slots m);
-        loop (pc + 1) (sp + 1) isp fsp
-    | ILoadFieldFB (i, slots, m) ->
-        let o = as_obj (Array.get locals i) in
-        ost.(sp) <- VFloat o.ffields.(field_slot o slots m);
         loop (pc + 1) (sp + 1) isp fsp
     | ICastFI ->
         ist.(isp) <- int_of_float fstk.(fsp - 1);
@@ -4439,20 +4115,14 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         | BBox -> assert false);
         loop (pc + 1) (sp - 1) isp fsp
     (* -- typed control ------------------------------------------------ *)
-    | IJumpIfFalseI (tk, t) ->
-        if ist.(isp - 1) <> 0 then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 1) fsp
-        end
+    | IJumpIfFalseI t ->
+        if ist.(isp - 1) <> 0 then loop (pc + 1) sp (isp - 1) fsp
         else loop t sp (isp - 1) fsp
     | IJumpIfTrueI t ->
         if ist.(isp - 1) <> 0 then loop t sp (isp - 1) fsp
         else loop (pc + 1) sp (isp - 1) fsp
-    | IJumpIfFalseF (tk, t) ->
-        if fstk.(fsp - 1) <> 0.0 then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp (fsp - 1)
-        end
+    | IJumpIfFalseF t ->
+        if fstk.(fsp - 1) <> 0.0 then loop (pc + 1) sp isp (fsp - 1)
         else loop t sp isp (fsp - 1)
     | IJumpIfTrueF t ->
         if fstk.(fsp - 1) <> 0.0 then loop t sp isp (fsp - 1)
@@ -4469,93 +4139,47 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
           loop t sp isp fsp
         end
         else loop (pc + 1) sp (isp - 1) fsp
-    | IJumpCmpFalseI (op, tk, t) ->
-        if icmp op ist.(isp - 2) ist.(isp - 1) then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 2) fsp
-        end
+    | IJumpCmpFalseI (op, t) ->
+        if icmp op ist.(isp - 2) ist.(isp - 1)
+        then loop (pc + 1) sp (isp - 2) fsp
         else loop t sp (isp - 2) fsp
-    | IJumpCmpConstFalseI (op, k, tk, t) ->
-        if icmp op ist.(isp - 1) k then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 1) fsp
-        end
+    | IJumpCmpConstFalseI (op, k, t) ->
+        if icmp op ist.(isp - 1) k then loop (pc + 1) sp (isp - 1) fsp
         else loop t sp (isp - 1) fsp
-    | IJumpLocCmpConstFalseI (i, op, k, tk, t) ->
-        if icmp op (Array.unsafe_get ilocals i) k then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+    | IJumpLocCmpConstFalseI (i, op, k, t) ->
+        if icmp op (Array.unsafe_get ilocals i) k then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpLocCmpFalseI (op, i, tk, t) ->
-        if icmp op ist.(isp - 1) (Array.unsafe_get ilocals i) then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 1) fsp
-        end
+    | IJumpLocCmpFalseI (op, i, t) ->
+        if icmp op ist.(isp - 1) (Array.unsafe_get ilocals i)
+        then loop (pc + 1) sp (isp - 1) fsp
         else loop t sp (isp - 1) fsp
-    | IJumpLoc2CmpFalseI (op, x, y, tk, t) ->
+    | IJumpLoc2CmpFalseI (op, x, y, t) ->
         if icmp op (Array.unsafe_get ilocals x) (Array.unsafe_get ilocals y)
-        then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpLocFCmpFalseI (x, y, slots, m, op, tk, t) ->
+    | IJumpLocFCmpFalseI (x, y, slots, m, op, t) ->
         let o = as_obj (Array.get locals y) in
         if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-        then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpLocFieldBCFalseI (tp, n, slots, m, op, k, ta, t) ->
-        if tp then tick vm;
+    | IJumpLocFieldBCFalseI (n, slots, m, op, k, t) ->
         let o = as_obj (Array.get locals n) in
-        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then begin
-          if ta then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0
+        then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | IJumpThisFieldBCFalseI (tp, slots, m, op, k, ta, t) -> (
-        if tp then tick vm;
+    | IJumpThisFieldBCFalseI (slots, m, op, k, t) -> (
         match frame.this with
         | Some o ->
-            if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then begin
-              if ta then tick vm;
-              loop (pc + 1) sp isp fsp
-            end
+            if ibinop_i op o.ifields.(field_slot o slots m) k <> 0
+            then loop (pc + 1) sp isp fsp
             else loop t sp isp fsp
         | None -> runtime_error "'this' outside a method")
     (* -- typed superinstructions -------------------------------------- *)
-    | ITickLoadI i ->
-        tick vm;
-        ist.(isp) <- Array.unsafe_get ilocals i;
-        loop (pc + 1) sp (isp + 1) fsp
     | ILoadFieldI (i, slots, m) ->
         let o = as_obj (Array.get locals i) in
         ist.(isp) <- o.ifields.(field_slot o slots m);
         loop (pc + 1) sp (isp + 1) fsp
-    | ILoadFieldF (i, slots, m) ->
-        let o = as_obj (Array.get locals i) in
-        fstk.(fsp) <- o.ffields.(field_slot o slots m);
-        loop (pc + 1) sp isp (fsp + 1)
-    | ITickLoadFieldI (i, slots, m) ->
-        tick vm;
-        let o = as_obj (Array.get locals i) in
-        ist.(isp) <- o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp (isp + 1) fsp
     | IThisFieldI (slots, m) ->
-        (match frame.this with
-        | Some o -> ist.(isp) <- o.ifields.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
-        loop (pc + 1) sp (isp + 1) fsp
-    | IThisFieldF (slots, m) ->
-        (match frame.this with
-        | Some o -> fstk.(fsp) <- o.ffields.(field_slot o slots m)
-        | None -> runtime_error "'this' outside a method");
-        loop (pc + 1) sp isp (fsp + 1)
-    | ITickThisFieldI (slots, m) ->
-        tick vm;
         (match frame.this with
         | Some o -> ist.(isp) <- o.ifields.(field_slot o slots m)
         | None -> runtime_error "'this' outside a method");
@@ -4590,11 +4214,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp - 1) <-
           ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m);
         loop (pc + 1) sp isp fsp
-    | IBinopLoadFieldI (op, j, slots, m) ->
-        ist.(isp - 2) <- ibinop_i op ist.(isp - 2) ist.(isp - 1);
-        let o = as_obj (Array.get locals j) in
-        ist.(isp - 1) <- o.ifields.(field_slot o slots m);
-        loop (pc + 1) sp isp fsp
     | IThisFieldBinopI (slots, m, op) ->
         (match frame.this with
         | Some o ->
@@ -4602,16 +4221,14 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m)
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp fsp
-    | IBinopConstAndFalseI (op, k, t) ->
-        if ibinop_i op ist.(isp - 1) k <> 0 then loop (pc + 1) sp (isp - 1) fsp
+    | ILoadFieldBCAndFalseI (j, slots, m, op, k, t) ->
+        let o = as_obj (Array.get locals j) in
+        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then
+          loop (pc + 1) sp isp fsp
         else begin
-          ist.(isp - 1) <- 0;
-          loop t sp isp fsp
+          ist.(isp) <- 0;
+          loop t sp (isp + 1) fsp
         end
-    | IStoreLocalPopTI (ic, i) ->
-        Array.unsafe_set ilocals i (apply_ic ic ist.(isp - 1));
-        tick vm;
-        loop (pc + 1) sp (isp - 1) fsp
     | IStoreLocalPopJumpI (ic, i, t) ->
         Array.unsafe_set ilocals i (apply_ic ic ist.(isp - 1));
         loop t sp (isp - 1) fsp
@@ -4626,38 +4243,25 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let eo = as_obj (index_read av iv) in
         ist.(isp) <- eo.ifields.(field_slot eo s2 m2);
         loop (pc + 1) sp (isp + 1) fsp
-    | ITickLoadFieldCmpLocFalseI (j, slots, m, op, n, tk, t) ->
-        tick vm;
+    | ILoadFieldCmpLocFalseI (j, slots, m, op, n, t) ->
         let o = as_obj (Array.get locals j) in
-        if
-          icmp op o.ifields.(field_slot o slots m) (Array.unsafe_get ilocals n)
-        then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        if icmp op o.ifields.(field_slot o slots m) (Array.unsafe_get ilocals n)
+        then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
-    | ILoadFieldBinopJumpFalseI (i, slots, m, op, tk, t) ->
+    | ILoadFieldBinopJumpFalseI (i, slots, m, op, t) ->
         let o = as_obj (Array.get locals i) in
         if ibinop_i op ist.(isp - 1) o.ifields.(field_slot o slots m) <> 0
-        then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 1) fsp
-        end
+        then loop (pc + 1) sp (isp - 1) fsp
         else loop t sp (isp - 1) fsp
-    | IJumpBCCmpFalseI (op1, k, op2, tk, t) ->
+    | IJumpBCCmpFalseI (op1, k, op2, t) ->
         let rhs = ibinop_i op1 ist.(isp - 1) k in
-        if icmp op2 ist.(isp - 2) rhs then begin
-          if tk then tick vm;
-          loop (pc + 1) sp (isp - 2) fsp
-        end
+        if icmp op2 ist.(isp - 2) rhs then loop (pc + 1) sp (isp - 2) fsp
         else loop t sp (isp - 2) fsp
-    | IJumpLL2FBCCmpFalseI (i, j, slots, m, op1, k, op2, tk, t) ->
+    | IJumpLL2FBCCmpFalseI (i, j, slots, m, op1, k, op2, t) ->
         let o = as_obj (Array.get locals j) in
         let rhs = ibinop_i op1 o.ifields.(field_slot o slots m) k in
-        if icmp op2 (Array.unsafe_get ilocals i) rhs then begin
-          if tk then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        if icmp op2 (Array.unsafe_get ilocals i) rhs
+        then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
     | ILoadIndexI i ->
         ost.(sp - 1) <- index_read ost.(sp - 1) (Array.unsafe_get ilocals i);
@@ -4667,19 +4271,11 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let av = o.fields.cells.(field_slot o slots m) in
         ost.(sp) <- index_read av (Array.unsafe_get ilocals i);
         loop (pc + 1) (sp + 1) isp fsp
-    | ITickLoadFieldIndexI (a, slots, m, i) ->
-        tick vm;
-        let o = as_obj (Array.get locals a) in
-        let av = o.fields.cells.(field_slot o slots m) in
-        ost.(sp) <- index_read av (Array.unsafe_get ilocals i);
-        loop (pc + 1) (sp + 1) isp fsp
-    | ITLFIndexIStoreT (a, slots, m, i, x, ty) ->
-        tick vm;
+    | ILoadFieldIndexStoreI (a, slots, m, i, x, ty) ->
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o slots m) in
         Array.set locals x
           (coerce ty (index_read av (Array.unsafe_get ilocals i)));
-        tick vm;
         loop (pc + 1) sp isp fsp
     | ILoadBinopI (op, i) ->
         ist.(isp - 1) <- ibinop_i op ist.(isp - 1) (Array.unsafe_get ilocals i);
@@ -4689,21 +4285,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj (Array.get locals y) in
         ist.(isp) <- ibinop_i op a o.ifields.(field_slot o slots m);
         loop (pc + 1) sp (isp + 1) fsp
-    | ILoadFieldBCAndFalseI (j, slots, m, op, k, t) ->
-        let o = as_obj (Array.get locals j) in
-        if ibinop_i op o.ifields.(field_slot o slots m) k <> 0 then
-          loop (pc + 1) sp isp fsp
-        else begin
-          ist.(isp) <- 0;
-          loop t sp (isp + 1) fsp
-        end
     | ILoadLocFieldI (a, slots, m) ->
-        let o = as_obj (Array.get locals a) in
-        ist.(isp) <- field_slot o slots m;
-        ost.(sp) <- VObj o;
-        loop (pc + 1) (sp + 1) (isp + 1) fsp
-    | ITickLocFieldI (a, slots, m) ->
-        tick vm;
         let o = as_obj (Array.get locals a) in
         ist.(isp) <- field_slot o slots m;
         ost.(sp) <- VObj o;
@@ -4718,14 +4300,12 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o = as_obj ost.(sp - 1) in
         o.ifields.(ist.(isp - 1)) <- v;
         loop (pc + 1) (sp - 1) (isp - 1) fsp
-    | IFieldStoreLI (tk, ic, n, slots, m, i) ->
-        if tk then tick vm;
+    | IFieldStoreLI (ic, n, slots, m, i) ->
         let o = as_obj (Array.get locals n) in
         o.ifields.(field_slot o slots m) <-
           apply_ic ic (Array.unsafe_get ilocals i);
         loop (pc + 1) sp isp fsp
-    | IFieldCopyII (tk, ic, a, s1, m1, j, s2, m2) ->
-        if tk then tick vm;
+    | IFieldCopyII (ic, a, s1, m1, j, s2, m2) ->
         let o1 = as_obj (Array.get locals a) in
         let d = field_slot o1 s1 m1 in
         let o2 = as_obj (Array.get locals j) in
@@ -4763,8 +4343,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
                 o.ifields.(field_slot o slots m) <- apply_ic ic k)
           inits;
         loop (pc + 1) sp isp fsp
-    | IThisIdxFieldStoreI (tk, s1, m1, ix, s2, m2, ic, rhs) ->
-        if tk then tick vm;
+    | IThisIdxFieldStoreI (s1, m1, ix, s2, m2, ic, rhs) ->
         (match frame.this with
         | Some o ->
             (* destination resolves fully before the rhs, matching the
@@ -4798,19 +4377,15 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
             o2.ifields.(d) <- apply_ic ic v
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp fsp
-    | ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), ta, t)
-      ->
-        tick vm;
+    | ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t) ->
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o s0 m0) in
         Array.set locals x0
           (coerce ty0 (index_read av (Array.unsafe_get ilocals i0)));
         tick vm;
         let o2 = as_obj (Array.get locals n) in
-        if ibinop_i op o2.ifields.(field_slot o2 s m) k <> 0 then begin
-          if ta then tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        if ibinop_i op o2.ifields.(field_slot o2 s m) k <> 0
+        then loop (pc + 1) sp isp fsp
         else loop t sp isp fsp
     | IRpnStoreI (dst, ops, ic) ->
         (* destination resolves first, then the rpn leaves left to
@@ -4819,8 +4394,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
            was stack-neutral, so the recorded bound still covers it. *)
         let o, d =
           match dst with
-          | DTickLocField (a, s, m) ->
-              tick vm;
+          | DLocField (a, s, m) ->
               let o = as_obj (Array.get locals a) in
               (o, field_slot o s m)
           | DFieldIdx (a, s, m, i, s2, m2) ->
@@ -4828,8 +4402,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               let av = oa.fields.cells.(field_slot oa s m) in
               let o = as_obj (index_read av (Array.unsafe_get ilocals i)) in
               (o, field_slot o s2 m2)
-          | DTickFieldLocField (i, s, m, s2, m2) ->
-              tick vm;
+          | DFieldLocField (i, s, m, s2, m2) ->
               let oi = as_obj (Array.get locals i) in
               let o = as_obj oi.fields.cells.(field_slot oi s m) in
               (o, field_slot o s2 m2)
@@ -4888,8 +4461,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
             vint (Array.unsafe_get ilocals (Array.unsafe_get idxs j))
         done;
         loop (pc + 1) (sp + k) isp fsp
-    | ITickThisCallM (tk, f) ->
-        if tk then tick vm;
+    | IThisCallM f ->
         let o =
           match frame.this with
           | Some o -> o
@@ -4897,8 +4469,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         in
         ost.(sp) <- call_function vm f ~this:(Some o) ost (sp + 1) 0;
         loop (pc + 1) (sp + 1) isp fsp
-    | IThisCallMStoreI (tk, f, op, v, ty, i) ->
-        if tk then tick vm;
+    | IThisCallMStoreI (f, op, v, ty, i) ->
         let o =
           match frame.this with
           | Some o -> o
@@ -4908,30 +4479,23 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let r = match r with VInt _ -> r | x -> vint (as_int x) in
         Array.unsafe_set ilocals i (as_int (coerce ty r));
         loop (pc + 1) sp isp fsp
-    | IIncDecJumpLocFCmpI (w, n, (x, y, slots, m, op, tk, texit), tb) ->
+    | IIncDecJumpLocFCmpI (w, n, (x, y, slots, m, op, texit), tb) ->
         Array.unsafe_set ilocals n
           (Array.unsafe_get ilocals n + incdec_delta w);
         let o = as_obj (Array.get locals y) in
         if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-        then begin
-          if tk then tick vm;
-          loop tb sp isp fsp
-        end
+        then loop tb sp isp fsp
         else loop texit sp isp fsp
-    | IIncDecJumpLL2FBCI (w, n, (x, y, slots, m, op1, k, op2, tk, texit), tb)
+    | IIncDecJumpLL2FBCI (w, n, (x, y, slots, m, op1, k, op2, texit), tb)
       ->
         Array.unsafe_set ilocals n
           (Array.unsafe_get ilocals n + incdec_delta w);
         let o = as_obj (Array.get locals y) in
         let rhs = ibinop_i op1 o.ifields.(field_slot o slots m) k in
-        if icmp op2 (Array.unsafe_get ilocals x) rhs then begin
-          if tk then tick vm;
-          loop tb sp isp fsp
-        end
+        if icmp op2 (Array.unsafe_get ilocals x) rhs then loop tb sp isp fsp
         else loop texit sp isp fsp
     | ITLFIStoreFieldCopyII ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2))
       ->
-        tick vm;
         let o = as_obj (Array.get locals a) in
         let av = o.fields.cells.(field_slot o s m) in
         Array.set locals x
@@ -4942,8 +4506,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let o2 = as_obj (Array.get locals j) in
         o1.ifields.(d) <- apply_ic ic o2.ifields.(field_slot o2 s2 m2);
         loop (pc + 1) sp isp fsp
-    | IThisFieldIdxFStoreI (lt, s, m, j, s2, m2, s3, m3, ic, i, tt) ->
-        if lt then tick vm;
+    | IThisFieldIdxFStoreI (s, m, j, s2, m2, s3, m3, ic, i) ->
         let av =
           match frame.this with
           | Some o -> o.fields.cells.(field_slot o s m)
@@ -4953,12 +4516,8 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         let idx = oj.ifields.(field_slot oj s2 m2) in
         let eo = as_obj (index_read av idx) in
         Array.unsafe_set ilocals i (apply_ic ic eo.ifields.(field_slot eo s3 m3));
-        if tt then tick vm;
         loop (pc + 1) sp isp fsp
-    | IThisXAssignI (tn, sd, md, ss, ms, xf, ic) ->
-        for _ = 1 to tn do
-          tick vm
-        done;
+    | IThisXAssignI (sd, md, ss, ms, xf, ic) ->
         (match frame.this with
         | Some o ->
             let d = field_slot o sd md in
@@ -4978,7 +4537,6 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         | None -> runtime_error "'this' outside a method");
         loop (pc + 1) sp isp fsp
     | IReturnThisFieldI (slots, m) -> (
-        tick vm;
         match frame.this with
         | Some o ->
             let v = vint o.ifields.(field_slot o slots m) in
@@ -4992,34 +4550,17 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
         ist.(isp - 1) <-
           ibinop_i o3 (ibinop_i o2 (ibinop_i o1 ist.(isp - 1) k1) k2) k3;
         loop (pc + 1) sp isp fsp
-    | ILoadFieldBCBinopI (n, slots, m, op1, k, op2) ->
-        let o = as_obj (Array.get locals n) in
-        let rhs = ibinop_i op1 o.ifields.(field_slot o slots m) k in
-        ist.(isp - 1) <- ibinop_i op2 ist.(isp - 1) rhs;
-        loop (pc + 1) sp isp fsp
-    | ITickLoadBCI (n, op, k) ->
-        tick vm;
-        ist.(isp) <- ibinop_i op (Array.unsafe_get ilocals n) k;
-        loop (pc + 1) sp (isp + 1) fsp
-    | IJumpLocTFCmpFalseI (op, x, slots, m, tk, t) -> (
+    | IJumpLocTFCmpFalseI (op, x, slots, m, t) -> (
         match frame.this with
         | Some o ->
             if icmp op (Array.unsafe_get ilocals x) o.ifields.(field_slot o slots m)
-            then begin
-              if tk then tick vm;
-              loop (pc + 1) sp isp fsp
-            end
+            then loop (pc + 1) sp isp fsp
             else loop t sp isp fsp
         | None -> runtime_error "'this' outside a method")
     | IScanStepI (j, slots, m, op, n, a, s2, m2, bdst, ty, tback) ->
-        tick vm;
         let o = as_obj (Array.get locals j) in
-        if
-          icmp op o.ifields.(field_slot o slots m) (Array.unsafe_get ilocals n)
-        then begin
-          tick vm;
-          loop (pc + 1) sp isp fsp
-        end
+        if icmp op o.ifields.(field_slot o slots m) (Array.unsafe_get ilocals n)
+        then loop (pc + 1) sp isp fsp
         else begin
           tick vm;
           let o2 = as_obj (Array.get locals a) in
@@ -5038,10 +4579,7 @@ and exec_code vm (frame : frame) (b : cbody) (start : int) : value =
               icmp op
                 o.ifields.(field_slot o slots m)
                 (Array.unsafe_get ilocals n)
-            then begin
-              tick vm;
-              -1
-            end
+            then -1
             else begin
               tick vm;
               let o2 = as_obj (Array.get locals a) in
@@ -5206,8 +4744,6 @@ let mnemonic (i : instr) : string =
   | IInitFieldArr _ -> "IInitFieldArr"
   | IInitFieldScalar _ -> "IInitFieldScalar"
   | ILoadField _ -> "ILoadField"
-  | ITickLoad _ -> "ITickLoad"
-  | ITickLoadField _ -> "ITickLoadField"
   | IThisField _ -> "IThisField"
   | IIndexField _ -> "IIndexField"
   | ILoadLocField _ -> "ILoadLocField"
@@ -5215,45 +4751,30 @@ let mnemonic (i : instr) : string =
   | IFieldBinop _ -> "IFieldBinop"
   | ILoadFieldBinop _ -> "ILoadFieldBinop"
   | IBinopConst _ -> "IBinopConst"
-  | ITickN _ -> "ITickN"
-  | ITickPushScope _ -> "ITickPushScope"
   | IAssignPop _ -> "IAssignPop"
-  | IStoreLocalPopT _ -> "IStoreLocalPopT"
   | IStoreLocalPopJump _ -> "IStoreLocalPopJump"
   | IIncDecLocalJump _ -> "IIncDecLocalJump"
-  | IJumpIfFalseT _ -> "IJumpIfFalseT"
-  | IJumpCmpFalseT _ -> "IJumpCmpFalseT"
   | IJumpCmpConstFalse _ -> "IJumpCmpConstFalse"
-  | IJumpCmpConstFalseT _ -> "IJumpCmpConstFalseT"
   | IJumpLocCmpConstFalse _ -> "IJumpLocCmpConstFalse"
-  | IJumpLocCmpConstFalseT _ -> "IJumpLocCmpConstFalseT"
   | IJumpLocCmpFalse _ -> "IJumpLocCmpFalse"
-  | IJumpLocCmpFalseT _ -> "IJumpLocCmpFalseT"
   | IJumpLoc2CmpFalse _ -> "IJumpLoc2CmpFalse"
-  | IJumpLoc2CmpFalseT _ -> "IJumpLoc2CmpFalseT"
-  | ITickLoadFieldStore _ -> "ITickLoadFieldStore"
-  | ITickLoadFieldStoreJump _ -> "ITickLoadFieldStoreJump"
+  | ILoadFieldStore _ -> "ILoadFieldStore"
+  | ILoadFieldStoreJump _ -> "ILoadFieldStoreJump"
   | ILoadBinopConst _ -> "ILoadBinopConst"
   | ILoadFieldBC _ -> "ILoadFieldBC"
   | ILoadFieldLoadBC _ -> "ILoadFieldLoadBC"
   | IFieldIdxField _ -> "IFieldIdxField"
   | ILoadFieldBinop2 _ -> "ILoadFieldBinop2"
   | IBinopAssignPop _ -> "IBinopAssignPop"
-  | ITickThisField _ -> "ITickThisField"
-  | ILoad2FieldBinop _ -> "ILoad2FieldBinop"
   | ILoadLoadField _ -> "ILoadLoadField"
   | ILocFieldLoadField _ -> "ILocFieldLoadField"
   | IStoreTLoadField _ -> "IStoreTLoadField"
-  | ITickLoadFieldIndex _ -> "ITickLoadFieldIndex"
-  | ITLFIndexStoreT _ -> "ITLFIndexStoreT"
-  | ITickLoadFieldCmpLocFalse _ -> "ITickLoadFieldCmpLocFalse"
-  | ITickLoadFieldCmpLocFalseT _ -> "ITickLoadFieldCmpLocFalseT"
+  | ILoadFieldIndex _ -> "ILoadFieldIndex"
+  | ILoadFieldIndexStore _ -> "ILoadFieldIndexStore"
+  | ILoadFieldCmpLocFalse _ -> "ILoadFieldCmpLocFalse"
   | IBinopConstAndFalse _ -> "IBinopConstAndFalse"
-  | IJumpIfFalseTPushScope _ -> "IJumpIfFalseTPushScope"
   | ILoadFieldBinopJumpFalse _ -> "ILoadFieldBinopJumpFalse"
-  | ILoadFieldBinopJumpFalseT _ -> "ILoadFieldBinopJumpFalseT"
-  | IJumpBCCmpFalse (_, _, _, tk, _) ->
-      if tk then "IJumpBCCmpFalseT" else "IJumpBCCmpFalse"
+  | IJumpBCCmpFalse _ -> "IJumpBCCmpFalse"
   | IScanStep _ -> "IScanStep"
   | ILoopScan _ -> "ILoopScan"
   | IBinopLoadField _ -> "IBinopLoadField"
@@ -5261,13 +4782,10 @@ let mnemonic (i : instr) : string =
   | IThisFieldBinop _ -> "IThisFieldBinop"
   | IFieldBinop2AssignPop _ -> "IFieldBinop2AssignPop"
   | IBinop2AssignPop _ -> "IBinop2AssignPop"
-  | IConstFieldBinop2 _ -> "IConstFieldBinop2"
   | ILoadLocFieldLoadField _ -> "ILoadLocFieldLoadField"
   | ILoadFieldBCAndFalse _ -> "ILoadFieldBCAndFalse"
   | IJumpLocFCmpFalse _ -> "IJumpLocFCmpFalse"
-  | IJumpLocFCmpFalseT _ -> "IJumpLocFCmpFalseT"
   | IJumpLL2FBCCmpFalse _ -> "IJumpLL2FBCCmpFalse"
-  | IJumpLL2FBCCmpFalseT _ -> "IJumpLL2FBCCmpFalseT"
   (* typed (untagged) instructions *)
   | IConstI _ -> "IConstI"
   | IConstF _ -> "IConstF"
@@ -5283,9 +4801,7 @@ let mnemonic (i : instr) : string =
   | IPopI -> "IPopI"
   | IPopF -> "IPopF"
   | ILoadIB _ -> "ILoadIB"
-  | ILoadFB _ -> "ILoadFB"
   | ILoadFieldIB _ -> "ILoadFieldIB"
-  | ILoadFieldFB _ -> "ILoadFieldFB"
   | ICastFI -> "ICastFI"
   | ICastIF -> "ICastIF"
   | IUnaryI _ -> "IUnaryI"
@@ -5342,31 +4858,20 @@ let mnemonic (i : instr) : string =
   | IInitFieldScalarI _ -> "IInitFieldScalarI"
   | IInitFieldScalarF _ -> "IInitFieldScalarF"
   | IInitFieldScalarB _ -> "IInitFieldScalarB"
-  | IJumpIfFalseI (tk, _) -> if tk then "IJumpIfFalseTI" else "IJumpIfFalseI"
+  | IJumpIfFalseI _ -> "IJumpIfFalseI"
   | IJumpIfTrueI _ -> "IJumpIfTrueI"
-  | IJumpIfFalseF (tk, _) -> if tk then "IJumpIfFalseTF" else "IJumpIfFalseF"
+  | IJumpIfFalseF _ -> "IJumpIfFalseF"
   | IJumpIfTrueF _ -> "IJumpIfTrueF"
   | IAndFalseI _ -> "IAndFalseI"
   | IOrTrueI _ -> "IOrTrueI"
-  | IJumpCmpFalseI (_, tk, _) ->
-      if tk then "IJumpCmpFalseTI" else "IJumpCmpFalseI"
-  | IJumpCmpConstFalseI (_, _, tk, _) ->
-      if tk then "IJumpCmpConstFalseTI" else "IJumpCmpConstFalseI"
-  | IJumpLocCmpConstFalseI (_, _, _, tk, _) ->
-      if tk then "IJumpLocCmpConstFalseTI" else "IJumpLocCmpConstFalseI"
-  | IJumpLocCmpFalseI (_, _, tk, _) ->
-      if tk then "IJumpLocCmpFalseTI" else "IJumpLocCmpFalseI"
-  | IJumpLoc2CmpFalseI (_, _, _, tk, _) ->
-      if tk then "IJumpLoc2CmpFalseTI" else "IJumpLoc2CmpFalseI"
-  | IJumpLocFCmpFalseI (_, _, _, _, _, tk, _) ->
-      if tk then "IJumpLocFCmpFalseTI" else "IJumpLocFCmpFalseI"
-  | ITickLoadI _ -> "ITickLoadI"
+  | IJumpCmpFalseI _ -> "IJumpCmpFalseI"
+  | IJumpCmpConstFalseI _ -> "IJumpCmpConstFalseI"
+  | IJumpLocCmpConstFalseI _ -> "IJumpLocCmpConstFalseI"
+  | IJumpLocCmpFalseI _ -> "IJumpLocCmpFalseI"
+  | IJumpLoc2CmpFalseI _ -> "IJumpLoc2CmpFalseI"
+  | IJumpLocFCmpFalseI _ -> "IJumpLocFCmpFalseI"
   | ILoadFieldI _ -> "ILoadFieldI"
-  | ILoadFieldF _ -> "ILoadFieldF"
-  | ITickLoadFieldI _ -> "ITickLoadFieldI"
   | IThisFieldI _ -> "IThisFieldI"
-  | IThisFieldF _ -> "IThisFieldF"
-  | ITickThisFieldI _ -> "ITickThisFieldI"
   | IIndexFieldI _ -> "IIndexFieldI"
   | ILoadLoadFieldI _ -> "ILoadLoadFieldI"
   | IBinopConstI _ -> "IBinopConstI"
@@ -5374,81 +4879,50 @@ let mnemonic (i : instr) : string =
   | ILoadFieldBCI _ -> "ILoadFieldBCI"
   | ILoadFieldLoadBCI _ -> "ILoadFieldLoadBCI"
   | ILoadFieldBinopI _ -> "ILoadFieldBinopI"
-  | IBinopLoadFieldI _ -> "IBinopLoadFieldI"
   | IThisFieldBinopI _ -> "IThisFieldBinopI"
-  | IBinopConstAndFalseI _ -> "IBinopConstAndFalseI"
-  | IStoreLocalPopTI _ -> "IStoreLocalPopTI"
+  | ILoadFieldBCAndFalseI _ -> "ILoadFieldBCAndFalseI"
   | IStoreLocalPopJumpI _ -> "IStoreLocalPopJumpI"
   | IIncDecLocalJumpI _ -> "IIncDecLocalJumpI"
   | IFieldIdxFieldI _ -> "IFieldIdxFieldI"
-  | ITickLoadFieldCmpLocFalseI (_, _, _, _, _, tk, _) ->
-      if tk then "ITickLoadFieldCmpLocFalseTI" else "ITickLoadFieldCmpLocFalseI"
-  | ILoadFieldBinopJumpFalseI (_, _, _, _, tk, _) ->
-      if tk then "ILoadFieldBinopJumpFalseTI" else "ILoadFieldBinopJumpFalseI"
-  | IJumpBCCmpFalseI (_, _, _, tk, _) ->
-      if tk then "IJumpBCCmpFalseTI" else "IJumpBCCmpFalseI"
-  | IJumpLL2FBCCmpFalseI (_, _, _, _, _, _, _, tk, _) ->
-      if tk then "IJumpLL2FBCCmpFalseTI" else "IJumpLL2FBCCmpFalseI"
+  | ILoadFieldCmpLocFalseI _ -> "ILoadFieldCmpLocFalseI"
+  | ILoadFieldBinopJumpFalseI _ -> "ILoadFieldBinopJumpFalseI"
+  | IJumpBCCmpFalseI _ -> "IJumpBCCmpFalseI"
+  | IJumpLL2FBCCmpFalseI _ -> "IJumpLL2FBCCmpFalseI"
   | IScanStepI _ -> "IScanStepI"
   | ILoopScanI _ -> "ILoopScanI"
   | ILoadIndexI _ -> "ILoadIndexI"
   | ILoadFieldIndexI _ -> "ILoadFieldIndexI"
-  | ITickLoadFieldIndexI _ -> "ITickLoadFieldIndexI"
-  | ITLFIndexIStoreT _ -> "ITLFIndexIStoreT"
+  | ILoadFieldIndexStoreI _ -> "ILoadFieldIndexStoreI"
   | ILoadBinopI _ -> "ILoadBinopI"
   | ILoadLoadFieldBinopI _ -> "ILoadLoadFieldBinopI"
-  | ILoadFieldBCAndFalseI _ -> "ILoadFieldBCAndFalseI"
   | ILoadLocFieldI _ -> "ILoadLocFieldI"
-  | ITickLocFieldI _ -> "ITickLocFieldI"
   | IAssignFieldLIPop _ -> "IAssignFieldLIPop"
   | IAssignFieldLFIPop _ -> "IAssignFieldLFIPop"
-  | IFieldStoreLI (tk, _, _, _, _, _) ->
-      if tk then "ITickFieldStoreLI" else "IFieldStoreLI"
-  | IFieldCopyII (tk, _, _, _, _, _, _, _) ->
-      if tk then "ITickFieldCopyII" else "IFieldCopyII"
+  | IFieldStoreLI _ -> "IFieldStoreLI"
+  | IFieldCopyII _ -> "IFieldCopyII"
   | IThisLocFieldI _ -> "IThisLocFieldI"
   | IAssignFieldCIPop _ -> "IAssignFieldCIPop"
   | IInitFieldLI _ -> "IInitFieldLI"
   | IInitFieldConstI _ -> "IInitFieldConstI"
   | IBinopConst2I _ -> "IBinopConst2I"
   | IBinopConst3I _ -> "IBinopConst3I"
-  | ILoadFieldBCBinopI _ -> "ILoadFieldBCBinopI"
-  | ITickLoadBCI _ -> "ITickLoadBCI"
-  | IJumpLocTFCmpFalseI (_, _, _, _, tk, _) ->
-      if tk then "IJumpLocTFCmpFalseTI" else "IJumpLocTFCmpFalseI"
-  | IJumpLocFieldBCFalseI (tp, _, _, _, _, _, ta, _) -> (
-      match (tp, ta) with
-      | false, false -> "IJumpLocFieldBCFalseI"
-      | false, true -> "IJumpLocFieldBCFalseTI"
-      | true, false -> "ITickJumpLocFieldBCFalseI"
-      | true, true -> "ITickJumpLocFieldBCFalseTI")
-  | IJumpThisFieldBCFalseI (tp, _, _, _, _, ta, _) -> (
-      match (tp, ta) with
-      | false, false -> "IJumpThisFieldBCFalseI"
-      | false, true -> "IJumpThisFieldBCFalseTI"
-      | true, false -> "ITickJumpThisFieldBCFalseI"
-      | true, true -> "ITickJumpThisFieldBCFalseTI")
-  | IThisXAssignI (tn, _, _, _, _, _, _) ->
-      if tn > 0 then "ITickThisXAssignI" else "IThisXAssignI"
+  | IJumpLocTFCmpFalseI _ -> "IJumpLocTFCmpFalseI"
+  | IJumpLocFieldBCFalseI _ -> "IJumpLocFieldBCFalseI"
+  | IJumpThisFieldBCFalseI _ -> "IJumpThisFieldBCFalseI"
+  | IThisXAssignI _ -> "IThisXAssignI"
   | IReturnThisFieldI _ -> "IReturnThisFieldI"
   | IInitFieldsI _ -> "IInitFieldsI"
-  | IThisIdxFieldStoreI (tk, _, _, _, _, _, _, _) ->
-      if tk then "ITickThisIdxFieldStoreI" else "IThisIdxFieldStoreI"
-  | ITLFIndexIStoreJumpFBCI (_, _, ta, _) ->
-      if ta then "ITLFIndexIStoreJumpFBCTI" else "ITLFIndexIStoreJumpFBCI"
-  | IRpnStoreI ((DTickLocField _ | DTickFieldLocField _), _, _) ->
-      "ITickRpnStoreI"
+  | IThisIdxFieldStoreI _ -> "IThisIdxFieldStoreI"
+  | ITLFIndexIStoreJumpFBCI _ -> "ITLFIndexIStoreJumpFBCI"
   | IRpnStoreI _ -> "IRpnStoreI"
   | IBinopConstCastStoreI _ -> "IBinopConstCastStoreI"
   | ILoadIBn _ -> "ILoadIBn"
-  | ITLFIStoreFieldCopyII _ -> "ITLFIStoreFieldCopyII"
-  | IThisCallMStoreI (tk, _, _, _, _, _) ->
-      if tk then "ITickThisCallMStoreI" else "IThisCallMStoreI"
+  | IThisCallM _ -> "IThisCallM"
+  | IThisCallMStoreI _ -> "IThisCallMStoreI"
   | IIncDecJumpLocFCmpI _ -> "IIncDecJumpLocFCmpI"
   | IIncDecJumpLL2FBCI _ -> "IIncDecJumpLL2FBCI"
-  | ITickThisCallM (tk, _) -> if tk then "ITickThisCallM" else "IThisCallM"
-  | IThisFieldIdxFStoreI (lt, _, _, _, _, _, _, _, _, _, _) ->
-      if lt then "ITickThisFieldIdxFStoreI" else "IThisFieldIdxFStoreI"
+  | ITLFIStoreFieldCopyII _ -> "ITLFIStoreFieldCopyII"
+  | IThisFieldIdxFStoreI _ -> "IThisFieldIdxFStoreI"
 
 (* Typed (untagged) opcodes, for the profiler's typed-vs-generic
    dispatch split. Bridge boxing instructions count as typed: they only
@@ -5459,7 +4933,7 @@ let is_typed (i : instr) : bool =
   | IIndexI | IBoxI | IBoxF | IBoxIU | IBoxFU | IPopI | IPopF | ILoadIB _
   | ILoadIBn _ | IThisFieldIdxFStoreI _ | ITLFIStoreFieldCopyII _
   | IIncDecJumpLocFCmpI _ | IIncDecJumpLL2FBCI _
-  | ILoadFB _ | ILoadFieldIB _ | ILoadFieldFB _ | ICastFI | ICastIF
+  | ILoadFieldIB _ | ICastFI | ICastIF
   | IUnaryI _ | INegF | INotF | IToBoolI | IBinopII _ | IArithFF _
   | ICmpFF _ | IArithIF _ | IArithFI _ | ICmpIF _ | ICmpFI _
   | IStoreLocalI _ | IStoreLocalPopI _ | IStoreLocalF _ | IStoreLocalPopF _
@@ -5481,24 +4955,23 @@ let is_typed (i : instr) : bool =
   | IJumpLocCmpConstFalseI _
   | IJumpLocCmpFalseI _
   | IJumpLoc2CmpFalseI _ | IJumpLocFCmpFalseI _
-  | ITickLoadI _ | ILoadFieldI _ | ILoadFieldF _
-  | ITickLoadFieldI _ | IThisFieldI _ | IThisFieldF _ | ITickThisFieldI _
+  | ILoadFieldI _ | IThisFieldI _
   | IIndexFieldI _ | ILoadLoadFieldI _ | IBinopConstI _ | ILoadBinopConstI _
   | ILoadFieldBCI _ | ILoadFieldLoadBCI _ | ILoadFieldBinopI _
-  | IBinopLoadFieldI _ | IThisFieldBinopI _ | IBinopConstAndFalseI _
-  | IStoreLocalPopTI _ | IStoreLocalPopJumpI _ | IIncDecLocalJumpI _
-  | IFieldIdxFieldI _ | ITickLoadFieldCmpLocFalseI _
+  | IThisFieldBinopI _ | ILoadFieldBCAndFalseI _
+  | IStoreLocalPopJumpI _ | IIncDecLocalJumpI _
+  | IFieldIdxFieldI _ | ILoadFieldCmpLocFalseI _
   | ILoadFieldBinopJumpFalseI _
   | IJumpBCCmpFalseI _
   | IJumpLL2FBCCmpFalseI _ | IScanStepI _
-  | ILoopScanI _ | ILoadIndexI _ | ILoadFieldIndexI _ | ITickLoadFieldIndexI _
-  | ITLFIndexIStoreT _ | ILoadBinopI _ | ILoadLoadFieldBinopI _
-  | ILoadFieldBCAndFalseI _ | ILoadLocFieldI _ | ITickLocFieldI _
+  | ILoopScanI _ | ILoadIndexI _ | ILoadFieldIndexI _
+  | ILoadFieldIndexStoreI _ | ILoadBinopI _ | ILoadLoadFieldBinopI _
+  | ILoadLocFieldI _
   | IAssignFieldLIPop _ | IAssignFieldLFIPop _ | IFieldStoreLI _
   | IFieldCopyII _
   | IThisLocFieldI _ | IAssignFieldCIPop _ | IInitFieldLI _
   | IInitFieldConstI _ | IBinopConst2I _ | IBinopConst3I _
-  | ILoadFieldBCBinopI _ | ITickLoadBCI _ | IJumpLocTFCmpFalseI _
+  | IJumpLocTFCmpFalseI _
   | IJumpLocFieldBCFalseI _ | IJumpThisFieldBCFalseI _ | IThisXAssignI _
   | IReturnThisFieldI _ | IInitFieldsI _ | IThisIdxFieldStoreI _
   | ITLFIndexIStoreJumpFBCI _ | IRpnStoreI _ | IBinopConstCastStoreI _ ->
@@ -5510,53 +4983,47 @@ let is_typed (i : instr) : bool =
    [ILoopScan] is handled separately: its back edge is internal. *)
 let branch_target (i : instr) : int option =
   match i with
-  | IJump t | IJumpIfFalse t | IJumpIfTrue t | IJumpIfFalseT t
+  | IJump t | IJumpIfFalse t | IJumpIfTrue t
   | IAndFalse t | IOrTrue t
-  | IJumpCmpFalse (_, t) | IJumpCmpFalseT (_, t)
-  | IJumpCmpConstFalse (_, _, t) | IJumpCmpConstFalseT (_, _, t)
-  | IJumpLocCmpConstFalse (_, _, _, t) | IJumpLocCmpConstFalseT (_, _, _, t)
-  | IJumpLocCmpFalse (_, _, t) | IJumpLocCmpFalseT (_, _, t)
-  | IJumpLoc2CmpFalse (_, _, _, t) | IJumpLoc2CmpFalseT (_, _, _, t)
-  | ITickLoadFieldStoreJump (_, _, _, _, _, t)
+  | IJumpCmpFalse (_, t)
+  | IJumpCmpConstFalse (_, _, t)
+  | IJumpLocCmpConstFalse (_, _, _, t)
+  | IJumpLocCmpFalse (_, _, t)
+  | IJumpLoc2CmpFalse (_, _, _, t)
+  | ILoadFieldStoreJump (_, _, _, _, _, t)
   | IStoreLocalPopJump (_, _, t)
   | IIncDecLocalJump (_, _, t)
-  | ITickLoadFieldCmpLocFalse (_, _, _, _, _, t)
-  | ITickLoadFieldCmpLocFalseT (_, _, _, _, _, t)
+  | ILoadFieldCmpLocFalse (_, _, _, _, _, t)
   | IBinopConstAndFalse (_, _, t)
-  | IJumpIfFalseTPushScope (t, _)
   | ILoadFieldBinopJumpFalse (_, _, _, _, t)
-  | ILoadFieldBinopJumpFalseT (_, _, _, _, t)
-  | IJumpBCCmpFalse (_, _, _, _, t)
+  | IJumpBCCmpFalse (_, _, _, t)
   | ILoadFieldBCAndFalse (_, _, _, _, _, t)
   | IJumpLocFCmpFalse (_, _, _, _, _, t)
-  | IJumpLocFCmpFalseT (_, _, _, _, _, t)
   | IJumpLL2FBCCmpFalse (_, _, _, _, _, _, _, t)
-  | IJumpLL2FBCCmpFalseT (_, _, _, _, _, _, _, t)
   | IScanStep (_, _, _, _, _, _, _, _, _, _, t)
   (* typed branch forms *)
-  | IJumpIfFalseI (_, t) | IJumpIfTrueI t
-  | IJumpIfFalseF (_, t) | IJumpIfTrueF t
+  | IJumpIfFalseI t | IJumpIfTrueI t
+  | IJumpIfFalseF t | IJumpIfTrueF t
   | IAndFalseI t | IOrTrueI t
-  | IJumpCmpFalseI (_, _, t)
-  | IJumpCmpConstFalseI (_, _, _, t)
-  | IJumpLocCmpConstFalseI (_, _, _, _, t)
-  | IJumpLocCmpFalseI (_, _, _, t)
-  | IJumpLoc2CmpFalseI (_, _, _, _, t)
-  | IJumpLocFCmpFalseI (_, _, _, _, _, _, t)
-  | IBinopConstAndFalseI (_, _, t)
+  | IJumpCmpFalseI (_, t)
+  | IJumpCmpConstFalseI (_, _, t)
+  | IJumpLocCmpConstFalseI (_, _, _, t)
+  | IJumpLocCmpFalseI (_, _, t)
+  | IJumpLoc2CmpFalseI (_, _, _, t)
+  | IJumpLocFCmpFalseI (_, _, _, _, _, t)
   | ILoadFieldBCAndFalseI (_, _, _, _, _, t)
-  | IJumpLocTFCmpFalseI (_, _, _, _, _, t)
+  | IJumpLocTFCmpFalseI (_, _, _, _, t)
   | IStoreLocalPopJumpI (_, _, t)
   | IIncDecLocalJumpI (_, _, t)
-  | ITickLoadFieldCmpLocFalseI (_, _, _, _, _, _, t)
-  | ILoadFieldBinopJumpFalseI (_, _, _, _, _, t)
-  | IJumpBCCmpFalseI (_, _, _, _, t)
-  | IJumpLL2FBCCmpFalseI (_, _, _, _, _, _, _, _, t)
+  | ILoadFieldCmpLocFalseI (_, _, _, _, _, t)
+  | ILoadFieldBinopJumpFalseI (_, _, _, _, t)
+  | IJumpBCCmpFalseI (_, _, _, t)
+  | IJumpLL2FBCCmpFalseI (_, _, _, _, _, _, _, t)
   | IScanStepI (_, _, _, _, _, _, _, _, _, _, t)
-  | IJumpLocFieldBCFalseI (_, _, _, _, _, _, _, t)
-  | ITLFIndexIStoreJumpFBCI (_, _, _, t)
+  | IJumpLocFieldBCFalseI (_, _, _, _, _, t)
+  | ITLFIndexIStoreJumpFBCI (_, _, t)
   | IIncDecJumpLocFCmpI (_, _, _, t) | IIncDecJumpLL2FBCI (_, _, _, t)
-  | IJumpThisFieldBCFalseI (_, _, _, _, _, _, t) ->
+  | IJumpThisFieldBCFalseI (_, _, _, _, t) ->
       Some t
   | _ -> None
 

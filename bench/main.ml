@@ -13,8 +13,10 @@
      dune exec bench/main.exe -- --compare BASELINE.json
                                          -- diff against a committed snapshot;
                                             exits 1 on >10% median phase
-                                            regression or a PTA build slower
-                                            than 2x the CHA build *)
+                                            regression, more VM dispatches
+                                            than the baseline, or a PTA
+                                            build slower than 2x the CHA
+                                            build *)
 
 open Benchmarks
 
@@ -494,6 +496,7 @@ type measurement = {
   m_deadspace : int;
   m_callgraph : (string * algstats) list;  (* "cha" / "rta" / "pta" *)
   m_counters : (string * int) list;
+  m_dispatches : int;  (* bytecode VM dispatches of one profiled run *)
 }
 
 let algorithms =
@@ -557,11 +560,18 @@ let measure ?(runs = 1) () : measurement list =
                   Telemetry.reset ();
                   Telemetry.set_enabled true
                 end;
+                (* every phase works on this sample's own trees: the
+                   memoised [Suite.program] would time a table lookup,
+                   and a shared program would let [run] hit the
+                   lowering cache instead of resolving and compiling *)
                 let ast, parse_ms =
-                  time (fun () -> Frontend.Parser.parse_string b.Suite.source)
+                  time (fun () ->
+                      Frontend.Parser.parse_string
+                        ~file:(b.Suite.name ^ ".mcc") b.Suite.source)
                 in
-                ignore ast;
-                let prog, check_ms = time (fun () -> Suite.program b) in
+                let prog, check_ms =
+                  time (fun () -> Sema.Type_check.check_program ast)
+                in
                 let result, analyze_ms =
                   time (fun () ->
                       Deadmem.Liveness.analyze ~config:Deadmem.Config.paper
@@ -610,6 +620,10 @@ let measure ?(runs = 1) () : measurement list =
                  samples)
           in
           let prog = Suite.program b in
+          let _, vm_report =
+            Runtime.Interp.run_profiled ~dead:(Deadmem.Liveness.dead_set result)
+              prog
+          in
           let m_callgraph =
             List.map
               (fun (name, alg) ->
@@ -656,6 +670,7 @@ let measure ?(runs = 1) () : measurement list =
             m_deadspace = s.Runtime.Profile.dead_space;
             m_callgraph;
             m_counters = counters;
+            m_dispatches = vm_report.Runtime.Vm_profile.r_dispatches;
           })
         Suite.all)
 
@@ -693,7 +708,7 @@ let bench_json () =
            "\n\
            \    {\"name\":\"%s\",\"loc\":%d,\n\
            \     \"wall_ms\":{%s},\n\
-           \     \"steps_per_us\":%.2f,\n\
+           \     \"steps_per_us\":%.2f,\"dispatches\":%d,\n\
            \     \"run_us_hist\":%s,\n\
            \     \"dead_members\":%d,\"object_space\":%d,\"dead_space\":%d,\n\
            \     \"callgraph\":{%s},\n\
@@ -705,7 +720,7 @@ let bench_json () =
                  (fun (p, v) ->
                    Fmt.str "\"%s\":%.3f" (Frontend.Source.json_escape p) v)
                  m.m_phases))
-           (steps_per_us m)
+           (steps_per_us m) m.m_dispatches
            (Telemetry.histogram_json m.m_run_hist)
            m.m_dead m.m_objspace m.m_deadspace
            (String.concat ","
@@ -739,7 +754,8 @@ let bench_json () =
    (dead members, object/dead space, per-algorithm call-graph shape)
    are reported; result-shape changes also fail, since they mean the
    optimization changed observable behavior, not just speed. The PTA
-   build is additionally gated at 2x the CHA build per benchmark. *)
+   build is additionally gated at 2x the CHA build per benchmark, and
+   the bytecode VM's dispatch count may not rise at all. *)
 let regression_pct = 10.0
 
 let noise_floor_ms = 2.0
@@ -828,6 +844,24 @@ let compare_baseline path contents =
               (if base_tput > 0.0 then
                  (now_tput -. base_tput) /. base_tput *. 100.0
                else 0.0);
+          (* VM dispatches are deterministic, so their gate is exact:
+             any rise over the baseline fails. Old baselines predate
+             the field and print '-'. *)
+          let base_disp = num row "dispatches" in
+          if Float.is_nan base_disp then
+            Fmt.pr "%-10s %-9s %9s %9d@." m.m_name "dispatch" "-" m.m_dispatches
+          else begin
+            let base_disp = int_of_float base_disp in
+            Fmt.pr "%-10s %-9s %9d %9d %+7.1f%%@." m.m_name "dispatch" base_disp
+              m.m_dispatches
+              (if base_disp > 0 then
+                 float_of_int (m.m_dispatches - base_disp)
+                 /. float_of_int base_disp *. 100.0
+               else 0.0);
+            if m.m_dispatches > base_disp then
+              fail "%s: dispatches rose %d -> %d" m.m_name base_disp
+                m.m_dispatches
+          end;
           (* result shape must not drift *)
           let same key now =
             let base = num row key in

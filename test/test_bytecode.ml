@@ -15,9 +15,10 @@
 
    The error-parity cases pin the two failure channels: structured
    runtime errors must carry the tree engine's exact message, and
-   resource limits must trip at the same tick — a program that needs
-   exactly [n] steps succeeds under both engines with [step_limit = n]
-   and raises [Limit_exceeded] with identical text at [n - 1]. *)
+   resource limits must trip at the same tick — every step budget from
+   1 up to what a program needs ends the same way (out of steps,
+   finished, or failed at run time) under the tree engine, the typed VM
+   and the all-boxed VM. *)
 
 open QCheck
 
@@ -228,8 +229,8 @@ let prop_short_circuit =
 
 (* -- error parity ---------------------------------------------------------------- *)
 
-let run_error ~engine prog =
-  match Runtime.Interp.run ~engine prog with
+let run_error ~engine ?step_limit prog =
+  match Runtime.Interp.run ~engine ?step_limit prog with
   | exception Runtime.Value.Runtime_error m -> `Runtime_error m
   | exception Runtime.Value.Limit_exceeded m -> `Limit m
   | o -> `Ok o.Runtime.Interp.return_value
@@ -252,39 +253,108 @@ let t_missing_member_error_parity () =
         && Util.contains_sub ~sub:"B::y" mt)
   | _ -> Alcotest.fail "expected Runtime_error from both engines"
 
+(* The step-budget sweep: run [src] with every budget k = 1, 2, ...
+   until the tree engine stops running out of steps, under the tree
+   engine, the typed VM and the all-boxed VM (DEADMEM_BOXED=1; each
+   configuration checks its own copy, since the lowering cache is keyed
+   on the program's identity). All three must end the same way at every
+   k. A tick moved one instruction early or late shifts the budget at
+   which a run finishes, or — before an erroring instruction — the
+   boundary between the limit error and the runtime error. Returns the
+   first budget at which the run no longer hits the limit, with that
+   outcome and the limit message just before it, or the first
+   disagreement. *)
+let step_sweep src =
+  let configs =
+    List.map
+      (fun (engine, boxed) -> (engine, boxed, Util.check_source src))
+      [
+        (Runtime.Interp.Tree, false);
+        (Runtime.Interp.Bytecode, false);
+        (Runtime.Interp.Bytecode, true);
+      ]
+  in
+  let at k (engine, boxed, prog) =
+    Test_typed_slots.with_boxed ~boxed (fun () ->
+        run_error ~engine ~step_limit:k prog)
+  in
+  let rec go k last_limit =
+    match List.map (at k) configs with
+    | t :: rest when List.exists (fun o -> o <> t) rest -> Error (k, t :: rest)
+    | `Limit m :: _ -> go (k + 1) m
+    | t :: _ -> Ok (k, t, last_limit)
+    | [] -> assert false
+  in
+  go 1 ""
+
+let show_outcome = function
+  | `Ok r -> Printf.sprintf "ok %d" r
+  | `Limit m -> "limit: " ^ m
+  | `Runtime_error m -> "runtime error: " ^ m
+
+let sweep_exn name src =
+  match step_sweep src with
+  | Ok r -> r
+  | Error (k, outs) ->
+      Alcotest.failf "%s: engines disagree at step budget %d: %s" name k
+        (String.concat " / " (List.map show_outcome outs))
+
 let t_step_limit_same_tick () =
-  let prog =
-    Util.check_source
-      {|int main() {
-          int i = 0;
+  let loop =
+    {|int main() {
+        int i = 0;
+        int acc = 0;
+        while (i < 50) { acc = acc + i; i = i + 1; }
+        return acc % 100;
+      }|}
+  in
+  let k, last, msg = sweep_exn "loop" loop in
+  Util.check_int "finishes at the budget it needs"
+    (Util.run loop).Runtime.Interp.steps k;
+  Util.check_bool "finishes at the exact budget" true (last = `Ok 25);
+  Util.check_bool "mentions the step limit below it" true
+    (Util.contains_sub ~sub:"step limit exceeded" msg);
+  (* a list walk that runs off its end: the last budgets before the
+     null dereference must still trip the limit, and the first one that
+     reaches it must fail with the runtime error *)
+  let k, last, _ =
+    sweep_exn "null walk"
+      {|class Node { public: int v; Node *next; };
+        int sum(Node *p, int n) {
           int acc = 0;
-          while (i < 50) { acc = acc + i; i = i + 1; }
-          return acc % 100;
+          for (int j = 0; j < n; j = j + 1) {
+            if (p->v > 2) { acc = acc + p->v; } else { acc = acc - 1; }
+            p = p->next;
+          }
+          return acc;
+        }
+        int main() {
+          Node *head = NULL;
+          int i = 0;
+          while (i < 5) {
+            Node *n = new Node();
+            n->v = i;
+            n->next = head;
+            head = n;
+            i = i + 1;
+          }
+          print_int(sum(head, 5));
+          return sum(head, 6);
         }|}
   in
-  (* How many steps does the program actually need? *)
-  let n = (Runtime.Interp.run ~engine:Runtime.Interp.Tree prog).steps in
-  let at ~engine limit =
-    match Runtime.Interp.run ~engine ~step_limit:limit prog with
-    | exception Runtime.Value.Limit_exceeded m -> `Limit m
-    | o -> `Ok o.Runtime.Interp.return_value
-  in
-  (* With exactly [n] steps allowed, both engines finish... *)
-  (match (at ~engine:Runtime.Interp.Tree n, at ~engine:Runtime.Interp.Bytecode n)
-   with
-  | `Ok rt, `Ok rb -> Util.check_int "return at exact limit" rt rb
-  | _ -> Alcotest.fail "expected success at the exact step budget");
-  (* ... and with one step fewer, both trip the guard at the same tick
-     with the same message. *)
-  match
-    ( at ~engine:Runtime.Interp.Tree (n - 1),
-      at ~engine:Runtime.Interp.Bytecode (n - 1) )
-  with
-  | `Limit mt, `Limit mb ->
-      Util.check_string "identical limit message" mt mb;
-      Util.check_bool "mentions the step limit" true
-        (Util.contains_sub ~sub:"step limit exceeded" mt)
-  | _ -> Alcotest.fail "expected Limit_exceeded from both engines"
+  Util.check_bool "sweeps past the first statements" true (k > 20);
+  match last with
+  | `Runtime_error m ->
+      Util.check_string "fails on the null dereference"
+        "expected a class object" m
+  | o -> Alcotest.failf "expected a runtime error, got %s" (show_outcome o)
+
+let prop_step_sweep =
+  Test.make
+    ~name:"bytecode: every step budget ends alike in tree, typed and boxed"
+    ~count:40
+    (make ~print:render_cstmts gen_cstmts)
+    (fun stmts -> Result.is_ok (step_sweep (render_cstmts stmts)))
 
 let suite =
   [
@@ -295,4 +365,4 @@ let suite =
     Util.test "step limit trips at the same tick" t_step_limit_same_tick;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_nested_control_flow; prop_short_circuit ]
+      [ prop_nested_control_flow; prop_short_circuit; prop_step_sweep ]

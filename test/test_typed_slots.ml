@@ -39,18 +39,18 @@ let run_counted ~engine prog =
       let outcome = Runtime.Interp.run ~engine prog in
       (outcome, Telemetry.Counter.value allocs_counter - before))
 
-(* Run [src] under one engine configuration. [boxed] drives the
-   DEADMEM_BOXED resolve knob; the previous value is restored so
-   configurations cannot leak into each other (putenv cannot unset, but
-   the knob only recognizes "1"/"true" as on). *)
-let run_config ~engine ~boxed src =
+(* Run [f] with the DEADMEM_BOXED resolve knob set to [boxed]; the
+   previous value is restored so configurations cannot leak into each
+   other (putenv cannot unset, but the knob only recognizes "1"/"true"
+   as on). *)
+let with_boxed ~boxed f =
   let prev = Option.value (Sys.getenv_opt "DEADMEM_BOXED") ~default:"0" in
   Unix.putenv "DEADMEM_BOXED" (if boxed then "1" else "0");
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "DEADMEM_BOXED" prev)
-    (fun () ->
-      let prog = Util.check_source src in
-      run_counted ~engine prog)
+  Fun.protect ~finally:(fun () -> Unix.putenv "DEADMEM_BOXED" prev) f
+
+(* Run [src] under one engine configuration. *)
+let run_config ~engine ~boxed src =
+  with_boxed ~boxed (fun () -> run_counted ~engine (Util.check_source src))
 
 type observed = {
   o_ret : int;

@@ -457,7 +457,8 @@ type instr =
   | IJumpLocCmpConstFalseI of int * Ast.binop * int * int
   | IJumpLocCmpFalseI of Ast.binop * int * int
   | IJumpLoc2CmpFalseI of Ast.binop * int * int * int
-  | IJumpLocFCmpFalseI of int * int * slots_by_class * Member.t * Ast.binop * int
+  | IJumpLocFCmpFalseI of
+      int * int * slots_by_class * Member.t * Ast.binop * int
   (* typed superinstructions, mirroring the generic fusion set *)
   | ILoadFieldI of int * slots_by_class * Member.t
   | IThisFieldI of slots_by_class * Member.t
@@ -1082,12 +1083,16 @@ let fuse_across (prev : instr) (f : instr) : instr option =
   match (prev, f) with
   | IStoreLocalPop (i, ty), ILoadField (j, s, m) ->
       Some (IStoreTLoadField (i, ty, j, s, m))
-  | ILoadFieldIndexStoreI (a, s, m, i, x, ty), IFieldCopyII (ic, a2, s1, m1, j, s2, m2)
-    ->
-      Some (ITLFIStoreFieldCopyII ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2)))
-  | ILoadFieldIndexStoreI (a, s0, m0, i0, x0, ty0), IJumpLocFieldBCFalseI (n, s, m, op, k, t)
-    ->
-      Some (ITLFIndexIStoreJumpFBCI ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t))
+  | ( ILoadFieldIndexStoreI (a, s, m, i, x, ty),
+      IFieldCopyII (ic, a2, s1, m1, j, s2, m2) ) ->
+      Some
+        (ITLFIStoreFieldCopyII
+           ((a, s, m, i, x, ty), (ic, a2, s1, m1, j, s2, m2)))
+  | ( ILoadFieldIndexStoreI (a, s0, m0, i0, x0, ty0),
+      IJumpLocFieldBCFalseI (n, s, m, op, k, t) ) ->
+      Some
+        (ITLFIndexIStoreJumpFBCI
+           ((a, s0, m0, i0, x0, ty0), (n, s, m, op, k), t))
   | _ -> None
 
 let emit (b : buf) (i : instr) =
@@ -1174,12 +1179,18 @@ let fuse_this_idx_store b =
     rewind b k;
     emit b i
   in
-  match if run_ok b 4 then (at 4, at 3, at 2, at 1) else (IPop, IPop, IPop, IPop) with
-  | IThisField (s1, m1), ILoadIndexI i, ILocFieldI (s2, m2), IAssignFieldCIPop (ic, k)
-    ->
+  match
+    if run_ok b 4 then (at 4, at 3, at 2, at 1) else (IPop, IPop, IPop, IPop)
+  with
+  | ( IThisField (s1, m1),
+      ILoadIndexI i,
+      ILocFieldI (s2, m2),
+      IAssignFieldCIPop (ic, k) ) ->
       replace 4 (IThisIdxFieldStoreI (s1, m1, IxLocal i, s2, m2, ic, RConst k))
-  | IThisField (s1, m1), ILoadIndexI i, ILocFieldI (s2, m2), IAssignFieldLIPop (ic, j)
-    ->
+  | ( IThisField (s1, m1),
+      ILoadIndexI i,
+      ILocFieldI (s2, m2),
+      IAssignFieldLIPop (ic, j) ) ->
       replace 4 (IThisIdxFieldStoreI (s1, m1, IxLocal i, s2, m2, ic, RLocal j))
   | _ -> (
       match
@@ -1308,7 +1319,8 @@ let fuse_rpn_store b =
    store when present. *)
 let emit_store_ib_pop b ty i =
   match
-    if run_ok b 2 then (b.code.(b.len - 2), b.code.(b.len - 1)) else (IPop, IPop)
+    if run_ok b 2 then (b.code.(b.len - 2), b.code.(b.len - 1))
+    else (IPop, IPop)
   with
   | IBinopConst (op, v), ICastInt ->
       rewind b 2;
@@ -1381,7 +1393,8 @@ let patch_to (b : buf) (t : int) (i : int) =
     | IOrTrueI _ -> IOrTrueI t
     | IJumpCmpFalseI (op, _) -> IJumpCmpFalseI (op, t)
     | IJumpCmpConstFalseI (op, k, _) -> IJumpCmpConstFalseI (op, k, t)
-    | IJumpLocCmpConstFalseI (n, op, k, _) -> IJumpLocCmpConstFalseI (n, op, k, t)
+    | IJumpLocCmpConstFalseI (n, op, k, _) ->
+        IJumpLocCmpConstFalseI (n, op, k, t)
     | IJumpLocCmpFalseI (op, n, _) -> IJumpLocCmpFalseI (op, n, t)
     | IJumpLoc2CmpFalseI (op, x, y, _) -> IJumpLoc2CmpFalseI (op, x, y, t)
     | IJumpLocFCmpFalseI (i, j, s, m, op, _) ->
@@ -1391,7 +1404,8 @@ let patch_to (b : buf) (t : int) (i : int) =
         IJumpLL2FBCCmpFalseI (i, j, s, m, op1, k, op2, t)
     | ILoadFieldBCAndFalseI (n, s, m, op, k, _) ->
         ILoadFieldBCAndFalseI (n, s, m, op, k, t)
-    | IJumpLocTFCmpFalseI (op, x, s, m, _) -> IJumpLocTFCmpFalseI (op, x, s, m, t)
+    | IJumpLocTFCmpFalseI (op, x, s, m, _) ->
+        IJumpLocTFCmpFalseI (op, x, s, m, t)
     | IJumpLocFieldBCFalseI (n, s, m, op, k, _) ->
         IJumpLocFieldBCFalseI (n, s, m, op, k, t)
     | ITLFIndexIStoreJumpFBCI (st, br, _) -> ITLFIndexIStoreJumpFBCI (st, br, t)
@@ -1456,7 +1470,8 @@ let emit_branch_false b =
             | ILoadLoadField (x, y, s, m) ->
                 b.len <- b.len - 2;
                 b.od <- b.od - 1;  (* +2 0 -1 applied; the fused branch is 0 *)
-                b.code.(b.len - 1) <- IJumpLL2FBCCmpFalse (x, y, s, m, op1, cv, op, -1);
+                b.code.(b.len - 1) <-
+                  IJumpLL2FBCCmpFalse (x, y, s, m, op1, cv, op, -1);
                 b.len - 1
             | _ -> assert false)
         | IBinopConst (op1, cv) ->

@@ -39,9 +39,10 @@ type site_row = {
     per-function instruction counts are two groupings of the same
     per-site counters, so both sum to [r_dispatches]. [r_steps] is the
     interpreter's statement-step counter, carried for cross-checking —
-    dispatches and steps differ where superinstruction fusion batches
-    ticks ([ITickN]) or collapses whole loop iterations ([ILoopScan])
-    into one dispatch. *)
+    dispatches and steps differ because statement ticks ride on
+    instruction slots instead of being dispatched, and where
+    superinstruction fusion collapses whole loop iterations
+    ([ILoopScan]) into one dispatch. *)
 type report = {
   r_steps : int;
   r_dispatches : int;

@@ -1115,12 +1115,13 @@ let emit (b : buf) (i : instr) =
       let rec settle () =
         if b.len >= 2 && b.lastlab < b.len - 1 then
           let prev = b.code.(b.len - 2) and f = b.code.(b.len - 1) in
-          match
+          let fused =
             match b.ticks.(b.len - 1) with
             | 0 -> fuse2 prev f
             | 1 -> fuse_across prev f
             | _ -> None
-          with
+          in
+          match fused with
           | Some g ->
               b.len <- b.len - 1;
               b.code.(b.len - 1) <- g;
